@@ -71,7 +71,7 @@ proto::BrokerConfig chaos_config(std::size_t capacity) {
 /// measured one at a time on the shared virtual clock. Returns false on a
 /// stuck handshake.
 bool run_sweep_point(Fleet& fleet, double p_drop) {
-  proto::IdealLinkTransport inner(/*concurrent=*/false);
+  proto::IdealLinkTransport inner;
   proto::FaultyTransport::Config fault_config;
   fault_config.seed = 20230417;
   fault_config.p_drop = p_drop;

@@ -170,13 +170,11 @@ void bench_broker_sweep(Fleet& fleet, bool canfd) {
     std::unique_ptr<proto::Transport> link;
     can::CanFdTransport* canfd_link = nullptr;
     if (canfd) {
-      can::CanFdTransport::Config config;
-      config.concurrent = true;
-      auto owned = std::make_unique<can::CanFdTransport>(std::move(config));
+      auto owned = std::make_unique<can::CanFdTransport>();
       canfd_link = owned.get();
       link = std::move(owned);
     } else {
-      link = std::make_unique<proto::IdealLinkTransport>(/*concurrent=*/true);
+      link = std::make_unique<proto::IdealLinkTransport>();
     }
     const double elapsed = run_fleet_workload(fleet, *link, workers);
     const std::size_t ops = kFleet * (1 + kRecords);  // handshakes + records
@@ -211,7 +209,6 @@ void bench_store_threads(Fleet& fleet) {
     config.capacity = 4096;
     config.shards = 64;
     config.policy = proto::RekeyPolicy::unlimited();
-    config.concurrent = threads > 1;
     proto::SessionStore store(proto::Role::kInitiator, config);
     constexpr std::size_t kPeersPerThread = 64;
     constexpr std::size_t kSealsPerPeer = 400;

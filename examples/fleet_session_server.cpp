@@ -109,14 +109,14 @@ int run_socket_server(bool tcp, std::uint16_t port, std::size_t workers, int ser
 
   std::unique_ptr<net::FdTransport> transport;
   if (tcp) {
-    auto opened = net::TcpStreamTransport::listen({.port = port, .concurrent = workers > 0});
+    auto opened = net::TcpStreamTransport::listen({.port = port});
     if (!opened.ok()) {
       std::fprintf(stderr, "cannot listen on tcp %u: %s\n", port, error_name(opened.error()));
       return 1;
     }
     transport = std::move(opened).value();
   } else {
-    auto opened = net::UdpTransport::open({.port = port, .concurrent = workers > 0});
+    auto opened = net::UdpTransport::open({.port = port});
     if (!opened.ok()) {
       std::fprintf(stderr, "cannot bind udp %u: %s\n", port, error_name(opened.error()));
       return 1;
@@ -464,13 +464,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<proto::Transport> link;
   can::CanFdTransport* canfd = nullptr;
   if (use_canfd) {
-    can::CanFdTransport::Config link_config;
-    link_config.concurrent = workers > 0;
-    auto owned = std::make_unique<can::CanFdTransport>(std::move(link_config));
+    auto owned = std::make_unique<can::CanFdTransport>();
     canfd = owned.get();
     link = std::move(owned);
   } else {
-    link = std::make_unique<proto::IdealLinkTransport>(/*concurrent=*/workers > 0);
+    link = std::make_unique<proto::IdealLinkTransport>();
   }
 
   rng::TestRng fabric_rng(4);
@@ -527,14 +525,13 @@ int main(int argc, char** argv) {
   std::printf("\nlossy fabric: %zu vehicles at %.0f%% drop (+5%% duplicate, +5%% reorder)\n",
               kLossyFleet, loss * 100.0);
 
-  proto::IdealLinkTransport lossy_inner(/*concurrent=*/workers > 0);
+  proto::IdealLinkTransport lossy_inner;
   can::TimelineRecorder casualties;
   proto::FaultyTransport::Config loss_model;
   loss_model.seed = 20230417;
   loss_model.p_drop = loss;
   loss_model.p_duplicate = 0.05;
   loss_model.p_reorder = 0.05;
-  loss_model.concurrent = workers > 0;
   loss_model.recorder = &casualties;
   proto::FaultyTransport lossy_link(lossy_inner, std::move(loss_model));
 

@@ -15,7 +15,6 @@ constexpr std::size_t kFabricHeaderSize = 2 * cert::kDeviceIdSize;
 
 CanFdTransport::CanFdTransport(Config config)
     : config_(std::move(config)), bus_(config_.timing) {
-  mutex_.enable(config_.concurrent);
   // The switch: one silent bus node that sees every frame exactly once
   // (it never transmits), reassembles per sender arbitration id, and
   // routes completed datagrams to the destination inbox — the acceptance

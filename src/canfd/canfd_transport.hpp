@@ -35,9 +35,9 @@
 // wrap this transport in proto::FaultyTransport; frame-level Bernoulli
 // loss plugs in via FaultyTransport::frame_drop_plan as `drop_frame`.
 //
-// Thread safety: all public calls serialize on one internal mutex when
-// constructed with Config::concurrent — the bus simulation is inherently
-// a shared medium, so coarse locking *is* the faithful model.
+// Thread safety: all public calls serialize on one internal mutex — the
+// bus simulation is inherently a shared medium, so coarse locking *is* the
+// faithful model.
 #pragma once
 
 #include <deque>
@@ -56,7 +56,6 @@ class CanFdTransport final : public proto::Transport {
  public:
   struct Config {
     BusTiming timing{};
-    bool concurrent = false;
     /// Test hook simulating bus errors: return true to drop this frame.
     std::function<bool(const CanFdFrame&)> drop_frame;
     /// Virtual-clock tap (not owned; must outlive the transport): every
@@ -157,7 +156,7 @@ class CanFdTransport final : public proto::Transport {
   // but stays unguarded: frames_delivered() reads a monotone counter for
   // test assertions after the fabric quiesces.
   CanBus bus_;
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::vector<std::unique_ptr<Node>> nodes_ GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, Node*, proto::DeviceIdHash> by_id_ GUARDED_BY(mutex_);
   std::unordered_map<std::uint32_t, Node*> by_can_id_ GUARDED_BY(mutex_);

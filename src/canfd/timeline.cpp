@@ -5,22 +5,22 @@
 namespace ecqv::can {
 
 void TimelineRecorder::record(TimelineEvent event) {
-  StdMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   events_.push_back(std::move(event));
 }
 
 void TimelineRecorder::clear() {
-  StdMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   events_.clear();
 }
 
 std::vector<TimelineEvent> TimelineRecorder::events() const {
-  StdMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return events_;
 }
 
 TimelineRecorder::Summary TimelineRecorder::summary() const {
-  StdMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   Summary out;
   for (const TimelineEvent& e : events_) {
     out.end_ms = std::max(out.end_ms, e.end_ms);

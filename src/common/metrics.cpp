@@ -7,7 +7,7 @@
 namespace ecqv {
 
 namespace detail {
-thread_local CountScope* g_active_scope = nullptr;
+constinit thread_local CountScope* g_active_scope = nullptr;
 std::atomic<AtomicCountSink*> g_global_sink{nullptr};
 }  // namespace detail
 

@@ -105,7 +105,10 @@ namespace detail {
 /// Exposed only so count_op below can inline to a TLS load + branch — it is
 /// called per field multiplication on the scalar-multiplication hot path,
 /// where an out-of-line call would cost more than the multiply bookkeeping.
-extern thread_local CountScope* g_active_scope;
+/// constinit: statically initialized, so other translation units read it
+/// directly rather than through a thread_local wrapper call — on that
+/// path a Release -fsanitize=undefined build reports a null-pointer load.
+extern constinit thread_local CountScope* g_active_scope;
 /// Process-global fallback sink (nullptr when none installed): threads with
 /// no active CountScope route their bumps here, and a root CountScope on
 /// any thread forwards its tally here on destruction. This is how the

@@ -3,19 +3,20 @@
 // The fabric serves two deployment shapes from one code base: the paper's
 // single-threaded embedded event loop, and a multi-core backend where a
 // worker pool terminates handshakes for thousands of peers concurrently
-// (ROADMAP item e). The store/broker data structures therefore take their
-// locking through OptionalMutex — a mutex that degrades to a branch on a
-// bool when concurrency is off — and count through StatCounter, a relaxed
-// atomic that still reads, copies and compares like a plain uint64_t so
-// every existing single-threaded call site keeps working unchanged.
+// (ROADMAP item e). Every shared structure (store shards, broker pending
+// shards, timer queue, peer cache, transports) is therefore thread-safe by
+// construction: it locks through Mutex, always on — an uncontended
+// lock/unlock pair costs ~20 ns against microseconds of record crypto — and
+// counts through StatCounter, a relaxed atomic that still reads, copies and
+// compares like a plain uint64_t so every call site keeps working unchanged.
 //
-// Both lockables are Clang thread-safety capabilities
-// (common/thread_annotations.hpp): fields they protect carry GUARDED_BY,
+// Mutex is a Clang thread-safety capability
+// (common/thread_annotations.hpp): fields it protects carry GUARDED_BY,
 // "lock held" helper contracts carry REQUIRES, and CI compiles src/ with
 // -Werror=thread-safety. Clang's analysis does not model std::lock_guard
 // over custom mutexes, so locking always goes through the annotated RAII
-// guards below (MutexLock / StdMutexLock) — tools/ct_lint.py rejects raw
-// std::lock_guard<OptionalMutex> for exactly this reason.
+// guard below (MutexLock) — tools/ct_lint.py rejects raw
+// std::lock_guard<Mutex> for exactly this reason.
 #pragma once
 
 #include <atomic>
@@ -26,58 +27,10 @@
 
 namespace ecqv {
 
-/// A mutex with a runtime enable switch. Disabled (the default), lock() and
-/// unlock() are a predictable branch — the embedded single-threaded profile
-/// pays no atomic RMW per store operation. Enabled, it is a real
-/// std::mutex. BasicLockable, so std::lock_guard/std::scoped_lock work —
-/// but lock through MutexLock so the thread-safety analysis sees the
-/// acquisition.
-///
-/// The switch must be thrown before the structure is shared across threads
-/// (constructors do this from a config flag); flipping it while threads are
-/// already inside is undefined, exactly like replacing a mutex in use.
-///
-/// The capability is held even when the runtime switch is off: the analysis
-/// checks the LOCKING DISCIPLINE (which code paths take which locks), not
-/// whether the lock compiles down to a branch — a discipline violation in
-/// the single-threaded profile is the same bug waiting for the concurrent
-/// profile to arm it.
-class CAPABILITY("mutex") OptionalMutex {
- public:
-  OptionalMutex() = default;
-  explicit OptionalMutex(bool enabled) : enabled_(enabled) {}
-  OptionalMutex(const OptionalMutex&) = delete;
-  OptionalMutex& operator=(const OptionalMutex&) = delete;
-
-  void enable(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void lock() ACQUIRE() {
-    if (enabled_) mutex_.lock();
-  }
-  void unlock() RELEASE() {
-    if (enabled_) mutex_.unlock();
-  }
-  bool try_lock() TRY_ACQUIRE(true) { return !enabled_ || mutex_.try_lock(); }
-
-  /// Analysis-only assertion that the calling thread holds this capability.
-  /// For callback re-entry points the analysis cannot follow (e.g. the bus
-  /// frame sinks CanFdTransport registers, invoked from flush() under the
-  /// lock). No runtime effect — the claim is vouched for by the registration
-  /// site, not checked.
-  void assert_held() const ASSERT_CAPABILITY(this) {}
-
- private:
-  bool enabled_ = false;
-  std::mutex mutex_;
-};
-
-/// An always-on annotated mutex: std::mutex as a thread-safety capability.
-/// Structures that are concurrent by construction (worker queues, timeline
-/// recorders, locked RNG adapters) use this instead of a bare std::mutex so
-/// their GUARDED_BY fields are analyzable. BasicLockable; native() exposes
-/// the underlying std::mutex for std::unique_lock + condition-variable
-/// waits (those sites are the NO_THREAD_SAFETY_ANALYSIS budget).
+/// The fabric's one lock: std::mutex as a thread-safety capability, so
+/// GUARDED_BY fields are analyzable. BasicLockable; native() exposes the
+/// underlying std::mutex for std::unique_lock + condition-variable waits
+/// (those sites are the NO_THREAD_SAFETY_ANALYSIS budget).
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -86,9 +39,12 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mutex_.lock(); }
   void unlock() RELEASE() { mutex_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
-  /// See OptionalMutex::assert_held().
+  /// Analysis-only assertion that the calling thread holds this capability.
+  /// For callback re-entry points the analysis cannot follow (e.g. the bus
+  /// frame sinks CanFdTransport registers, invoked from flush() under the
+  /// lock). No runtime effect — the claim is vouched for by the registration
+  /// site, not checked.
   void assert_held() const ASSERT_CAPABILITY(this) {}
 
   [[nodiscard]] std::mutex& native() { return mutex_; }
@@ -97,39 +53,14 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mutex_;
 };
 
-/// RAII guard for OptionalMutex, visible to the thread-safety analysis
-/// (std::lock_guard is not). unlock()/lock() support the drop-relock shape
-/// (e.g. PeerKeyCache::get does its extraction off-lock).
+/// RAII guard for Mutex, visible to the thread-safety analysis
+/// (std::lock_guard is not).
 class SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(OptionalMutex& mutex) ACQUIRE(mutex) : mutex_(mutex) { mutex_.lock(); }
-  ~MutexLock() RELEASE() {
-    if (held_) mutex_.unlock();
-  }
+  explicit MutexLock(Mutex& mutex) ACQUIRE(mutex) : mutex_(mutex) { mutex_.lock(); }
+  ~MutexLock() RELEASE() { mutex_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
-  void unlock() RELEASE() {
-    mutex_.unlock();
-    held_ = false;
-  }
-  void lock() ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
-
- private:
-  OptionalMutex& mutex_;
-  bool held_ = true;
-};
-
-/// RAII guard for Mutex (the always-on capability).
-class SCOPED_CAPABILITY StdMutexLock {
- public:
-  explicit StdMutexLock(Mutex& mutex) ACQUIRE(mutex) : mutex_(mutex) { mutex_.lock(); }
-  ~StdMutexLock() RELEASE() { mutex_.unlock(); }
-  StdMutexLock(const StdMutexLock&) = delete;
-  StdMutexLock& operator=(const StdMutexLock&) = delete;
 
  private:
   Mutex& mutex_;

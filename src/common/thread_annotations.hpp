@@ -13,10 +13,11 @@
 // The macros expand to nothing under gcc (and any compiler without the
 // attribute), so the portable build is untouched. Conventions:
 //
-//   * a lockable type is CAPABILITY("mutex"); RAII guards are
-//     SCOPED_CAPABILITY (clang does not model std::lock_guard over custom
-//     mutexes — always lock through ecqv::MutexLock / ecqv::StdMutexLock,
-//     never std::lock_guard directly; tools/ct_lint.py enforces this);
+//   * the lockable type (ecqv::Mutex, common/sync.hpp) is
+//     CAPABILITY("mutex"); its RAII guard is SCOPED_CAPABILITY (clang does
+//     not model std::lock_guard over custom mutexes — always lock through
+//     ecqv::MutexLock, never std::lock_guard directly; tools/ct_lint.py
+//     enforces this);
 //   * data a lock protects is GUARDED_BY(that_mutex);
 //   * a function with a "lock must be held" contract is REQUIRES(mutex) —
 //     REQUIRES may name a parameter's member (REQUIRES(shard.mutex)), which

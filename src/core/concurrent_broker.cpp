@@ -4,16 +4,11 @@
 
 namespace ecqv::proto {
 
-BrokerConfig ConcurrentSessionBroker::arm(BrokerConfig config, std::size_t workers) {
-  if (workers > 0) config.concurrent = true;
-  return config;
-}
-
 ConcurrentSessionBroker::ConcurrentSessionBroker(const Credentials& creds, rng::Rng& rng,
                                                  Transport& transport, Config config)
     : transport_(transport),
       rng_(rng),
-      broker_(creds, rng_, arm(std::move(config.broker), config.workers)) {
+      broker_(creds, rng_, std::move(config.broker)) {
   transport_.attach(broker_.id());
   // The reliability engine (and the S1 virtual-time TTL) runs on the bound
   // transport's clock.
@@ -30,7 +25,7 @@ ConcurrentSessionBroker::~ConcurrentSessionBroker() {
   stop_.store(true);
   for (auto& worker : workers_) {
     {
-      StdMutexLock lock(worker->mutex);  // fence: wait re-checks stop_ under the lock
+      MutexLock lock(worker->mutex);  // fence: wait re-checks stop_ under the lock
     }
     worker->cv.notify_all();
   }
@@ -127,7 +122,7 @@ std::vector<bool> ConcurrentSessionBroker::verify_batch(
     Worker& worker = *workers_[c % w];
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     {
-      StdMutexLock lock(worker.mutex);
+      MutexLock lock(worker.mutex);
       worker.queue.push_back(std::move(job));
     }
     worker.cv.notify_one();
@@ -170,7 +165,7 @@ std::size_t ConcurrentSessionBroker::poll(std::uint64_t now) {
     Worker& worker = *workers_[DeviceIdHash{}(job.from) % workers_.size()];
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     {
-      StdMutexLock lock(worker.mutex);
+      MutexLock lock(worker.mutex);
       worker.queue.push_back(std::move(job));
     }
     worker.cv.notify_one();
@@ -182,20 +177,6 @@ void ConcurrentSessionBroker::drain() {
   if (workers_.empty()) return;
   std::unique_lock<std::mutex> lock(drain_mutex_);
   drain_cv_.wait(lock, [&] { return in_flight_.load(std::memory_order_acquire) == 0; });
-}
-
-std::size_t ConcurrentSessionBroker::run_until_idle(std::uint64_t now) {
-  std::size_t processed = 0;
-  for (;;) {
-    const std::size_t dispatched = poll(now);
-    processed += dispatched;
-    drain();
-    if (dispatched == 0) {
-      if (transport_.idle()) return processed;
-      // Counterpart endpoints (driven on other threads) still owe traffic.
-      std::this_thread::yield();
-    }
-  }
 }
 
 std::size_t settle(const std::vector<ConcurrentSessionBroker*>& endpoints, std::uint64_t now) {

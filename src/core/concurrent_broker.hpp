@@ -15,9 +15,9 @@
 //     truly in parallel.
 //
 // Replies produced by a worker go straight back out through the bound
-// transport (which is thread-safe in concurrent configurations). With
-// workers = 0 the pool degrades to inline dispatch on the polling thread —
-// the single-threaded embedded profile, same API, no threads, no locks.
+// transport (every transport is thread-safe). With workers = 0 the pool
+// degrades to inline dispatch on the polling thread — the single-threaded
+// embedded profile, same API, no threads; its locks are never contended.
 //
 // The time model stays explicit (logical `now` seconds) like everywhere
 // else in the library: poll(now) stamps the datagrams it dispatches.
@@ -39,8 +39,7 @@ class ConcurrentSessionBroker {
   struct Config {
     BrokerConfig broker{};
     /// Worker threads terminating handshakes. 0 = inline dispatch (no
-    /// threads spawned); N >= 1 spawns N workers and arms the broker's
-    /// internal locking.
+    /// threads spawned); N >= 1 spawns N workers.
     std::size_t workers = 0;
   };
 
@@ -82,8 +81,8 @@ class ConcurrentSessionBroker {
   Status send_data(const cert::DeviceId& peer, ByteView plaintext, std::uint64_t now,
                    DataRekey rekey = DataRekey::kAuto);
 
-  /// Fleet enrollment, delegated to the broker (the peer cache is already
-  /// armed for concurrent use when workers > 0). Returns the number cached.
+  /// Fleet enrollment, delegated to the broker (the peer cache is shared
+  /// safely with the workers). Returns the number cached.
   std::size_t enroll_batch(const std::vector<cert::Certificate>& certificates);
 
   /// Batch signature verification fanned out across the worker pool: the
@@ -106,12 +105,6 @@ class ConcurrentSessionBroker {
   /// replies are on the transport.
   void drain();
 
-  /// poll() + drain() until the transport reports idle and no further
-  /// datagrams arrive — the fleet-settling loop used by benches, tests and
-  /// examples. Returns the total number of datagrams this endpoint
-  /// processed.
-  std::size_t run_until_idle(std::uint64_t now);
-
   [[nodiscard]] SessionBroker& broker() { return broker_; }
   [[nodiscard]] const cert::DeviceId& id() const { return broker_.id(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -133,13 +126,12 @@ class ConcurrentSessionBroker {
     std::thread thread;
   };
 
-  static BrokerConfig arm(BrokerConfig config, std::size_t workers);
   // NO_THREAD_SAFETY_ANALYSIS (1 of the repo's budget of 3, counted by
   // tools/ct_lint.py): the wait loop must pass the capability's native
   // std::mutex to condition_variable::wait through a std::unique_lock,
   // which the analysis cannot model — the queue pops here are guarded by
   // that same unique_lock. Every producer side (poll, verify_batch, the
-  // destructor's fence) locks through the annotated StdMutexLock and IS
+  // destructor's fence) locks through the annotated MutexLock and IS
   // analyzed.
   void worker_loop(Worker& worker) NO_THREAD_SAFETY_ANALYSIS;
   void process(const Job& job);

@@ -36,9 +36,7 @@ const char* fault_name(FaultyTransport::Fault f) {
 }  // namespace
 
 FaultyTransport::FaultyTransport(Transport& inner, Config config)
-    : inner_(inner), config_(std::move(config)), rng_state_(config_.seed) {
-  mutex_.enable(config_.concurrent);
-}
+    : inner_(inner), config_(std::move(config)), rng_state_(config_.seed) {}
 
 void FaultyTransport::attach(const cert::DeviceId& endpoint) { inner_.attach(endpoint); }
 

@@ -27,8 +27,8 @@
 // max(inner clock, local floor), advanced by advance_ms()/advance_to() —
 // the same clock the broker's retransmission timers run on.
 //
-// Thread safety: all mutable state serializes on one OptionalMutex, armed
-// in concurrent fabrics; the inner transport handles its own locking.
+// Thread safety: all mutable state serializes on one Mutex; the inner
+// transport handles its own locking.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +78,6 @@ class FaultyTransport final : public Transport {
     /// further reorder/delay faults degrade to clean forwarding and count
     /// as `held_overflow` — bounded memory under any fault storm.
     std::size_t max_held = 64;
-
-    /// Arms the internal mutex for worker-pool fabrics.
-    bool concurrent = false;
 
     /// Optional timeline sink: drops emit kDrop events, every other fault
     /// emits kFault with the fault name as label.
@@ -159,7 +156,7 @@ class FaultyTransport final : public Transport {
 
   Transport& inner_;
   Config config_;
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::uint64_t rng_state_ GUARDED_BY(mutex_);
   std::uint64_t serial_ GUARDED_BY(mutex_) = 0;
   double clock_floor_ GUARDED_BY(mutex_) = 0.0;

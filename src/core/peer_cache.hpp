@@ -16,8 +16,7 @@
 // Entries are handed out as shared_ptr<const Entry>: the concurrent
 // broker's workers all verify against one shared cache, and a hit must
 // outlive any LRU eviction another worker triggers mid-verify. The hit
-// path stays allocation-free (one refcount bump); set_concurrent() arms
-// the internal mutex, which single-threaded users never pay for.
+// path stays allocation-free (one refcount bump under the cache's mutex).
 //
 // Bounded LRU, same discipline as SessionStore: public data only, so
 // eviction is purely a memory concern (no wiping needed).
@@ -52,10 +51,6 @@ class PeerKeyCache {
 
   explicit PeerKeyCache(std::size_t capacity = 4096)
       : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Arms the internal mutex for shared use by a worker pool. Must be
-  /// called before the cache is touched from more than one thread.
-  void set_concurrent(bool on) { mutex_.enable(on); }
 
   /// Returns the cached entry for `certificate`, extracting the public key
   /// and building the verification table on miss (or when the presented
@@ -92,7 +87,7 @@ class PeerKeyCache {
   void locked_insert(const cert::DeviceId& subject, EntryPtr entry) REQUIRES(mutex_);
 
   std::size_t capacity_;
-  mutable OptionalMutex mutex_;
+  mutable Mutex mutex_;
   LruList lru_ GUARDED_BY(mutex_);  // front = most recently used
   std::unordered_map<cert::DeviceId, LruList::iterator, DeviceIdHash> index_ GUARDED_BY(mutex_);
   Stats stats_;

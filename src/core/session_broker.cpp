@@ -59,24 +59,14 @@ bool same_message(const Message& a, const Message& b) {
   return a.sender == b.sender && a.step == b.step && a.payload == b.payload;
 }
 
-SessionStore::Config store_config(const BrokerConfig& config) {
-  SessionStore::Config store = config.store;
-  store.concurrent = config.concurrent;
-  return store;
-}
-
 }  // namespace
 
 SessionBroker::SessionBroker(const Credentials& creds, rng::Rng& rng, BrokerConfig config)
     : creds_(creds),
       rng_(rng),
       config_(std::move(config)),
-      store_(Role::kResponder, store_config(config_)),
-      cache_(config_.peer_cache_capacity) {
-  cache_.set_concurrent(config_.concurrent);
-  for (auto& shard : pending_) shard.mutex.enable(config_.concurrent);
-  timers_.enable_concurrent(config_.concurrent);
-}
+      store_(Role::kResponder, config_.store),
+      cache_(config_.peer_cache_capacity) {}
 
 double SessionBroker::rto_after(const cert::DeviceId& peer, std::uint32_t attempts,
                                 std::uint64_t gen) const {

@@ -37,14 +37,14 @@
 //   2. full rekey (after max_epochs resumptions, or when the session died):
 //      a fresh STS handshake re-anchors the chain in new ephemerals.
 //
-// Threading: with BrokerConfig::concurrent set, on_message() may be called
-// from many threads as long as calls FOR THE SAME PEER never overlap (the
-// worker pool in core/concurrent_broker.hpp guarantees this by hashing
-// peers onto workers). Pending-handshake state is sharded under per-shard
-// mutexes, the store locks per shard, the peer cache pins entries, and all
-// Stats are relaxed atomics — so handshakes for different peers run truly
-// in parallel. Left off (default), everything degrades to the
-// single-threaded embedded event loop with zero locking overhead.
+// Threading: on_message() may be called from many threads as long as calls
+// FOR THE SAME PEER never overlap (the worker pool in
+// core/concurrent_broker.hpp guarantees this by hashing peers onto
+// workers). Pending-handshake state is sharded under per-shard mutexes, the
+// store locks per shard, the peer cache pins entries, and all Stats are
+// relaxed atomics — so handshakes for different peers run truly in
+// parallel. The single-threaded event loop takes the same uncontended
+// locks.
 #pragma once
 
 #include <array>
@@ -105,9 +105,6 @@ struct BrokerConfig {
   std::size_t peer_cache_capacity = 4096;
   std::size_t max_pending = 1024;           // concurrent in-flight handshakes
   std::uint64_t pending_ttl_seconds = 30;   // stalled handshakes GC'd by sweep()
-  /// Arms the broker (and its store + peer cache) for multi-threaded
-  /// dispatch; see the threading contract in the class comment.
-  bool concurrent = false;
   /// Delivery callback for opened data-plane records ("DT1" messages fed
   /// through on_message). May be invoked from worker threads.
   std::function<void(const cert::DeviceId& peer, Bytes plaintext)> on_data;
@@ -327,7 +324,7 @@ class SessionBroker {
   /// replay cache, unacked ratchets, dead-peer strikes) ride the same
   /// shard and lock.
   struct PendingShard {
-    mutable OptionalMutex mutex;
+    mutable Mutex mutex;
     std::unordered_map<cert::DeviceId, Pending, DeviceIdHash> map GUARDED_BY(mutex);
     std::unordered_map<cert::DeviceId, Finished, DeviceIdHash> finished GUARDED_BY(mutex);
     std::unordered_map<cert::DeviceId, RatchetAwait, DeviceIdHash> awaits GUARDED_BY(mutex);

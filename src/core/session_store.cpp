@@ -19,10 +19,7 @@ SessionStore::SessionStore(Role default_role, Config config)
   if (config_.capacity == 0) config_.capacity = 1;
   const std::size_t shard_count = round_up_pow2(config_.shards == 0 ? 1 : config_.shards);
   shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->mutex.enable(config_.concurrent);
-  }
+  for (std::size_t i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<Shard>());
   shard_mask_ = shard_count - 1;
 }
 

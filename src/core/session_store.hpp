@@ -8,13 +8,11 @@
 //
 //  * Sharding: peers hash (FNV-1a over the 16-byte DeviceId) onto 2^k
 //    shards, each an LRU list + unordered index, so lookups stay O(1).
-//  * Per-shard locking: with Config::concurrent set, every shard carries
-//    its own mutex and the concurrent broker's workers operate on disjoint
-//    shards in parallel. No operation ever holds two shard locks at once
-//    (capacity eviction and sweep() lock one shard at a time), so the lock
-//    graph is trivially cycle-free. Stats are relaxed atomics readable
-//    without any lock; the single-threaded profile keeps zero overhead
-//    because a disabled OptionalMutex is a predicted branch.
+//  * Per-shard locking: every shard carries its own mutex, so the
+//    concurrent broker's workers operate on disjoint shards in parallel.
+//    No operation ever holds two shard locks at once (capacity eviction
+//    and sweep() lock one shard at a time), so the lock graph is trivially
+//    cycle-free. Stats are relaxed atomics readable without any lock.
 //  * Capacity bound + LRU eviction: the store never holds more than
 //    `capacity` sessions at rest; inserting past the bound wipes and evicts
 //    the least-recently-used session (per-shard order; exact global order
@@ -91,9 +89,6 @@ class SessionStore {
     /// under the PREVIOUS epoch may still open after a ratchet. 0 disables
     /// retention (strict lockstep — any boundary-straddling record dies).
     std::uint64_t epoch_window_records = 64;
-    /// Arms the per-shard mutexes. Off (default) the store is exactly the
-    /// single-threaded structure it always was — locks cost one branch.
-    bool concurrent = false;
   };
 
   struct Stats {
@@ -221,7 +216,7 @@ class SessionStore {
     std::unique_ptr<PrevEpoch> prev;  // acceptance window, at most one epoch
   };
   struct Shard {
-    mutable OptionalMutex mutex;
+    mutable Mutex mutex;
     std::list<Session> lru GUARDED_BY(mutex);  // front = most recently used
     std::unordered_map<cert::DeviceId, std::list<Session>::iterator, DeviceIdHash> index
         GUARDED_BY(mutex);

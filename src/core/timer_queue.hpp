@@ -13,9 +13,7 @@
 // skipped. Arming is O(log n), cancel is O(1) (bump the generation), and
 // the heap never needs random-access deletion.
 //
-// Thread safety: all operations serialize on one OptionalMutex, armed only
-// in concurrent broker configurations (the usual predicted-branch cost
-// when off).
+// Thread safety: all operations serialize on one Mutex.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +45,6 @@ class TimerQueue {
     std::uint64_t gen = 0;
   };
 
-  void enable_concurrent(bool on) { mutex_.enable(on); }
-
   /// Arms one timer. Entries for the same instant expire in arming order.
   void schedule(double due_ms, const cert::DeviceId& peer, Kind kind, std::uint64_t gen);
 
@@ -74,7 +70,7 @@ class TimerQueue {
     }
   };
 
-  mutable OptionalMutex mutex_;
+  mutable Mutex mutex_;
   std::priority_queue<Armed, std::vector<Armed>, Later> heap_ GUARDED_BY(mutex_);
   std::uint64_t seq_ GUARDED_BY(mutex_) = 0;
 };

@@ -83,15 +83,13 @@ class Transport {
 };
 
 /// The ideal in-memory link: instant delivery, per-destination FIFO
-/// inboxes. `concurrent` arms the internal mutex for worker-pool use.
+/// inboxes behind one mutex, so worker pools may share it.
 class IdealLinkTransport final : public Transport {
  public:
   struct Stats {
     StatCounter messages = 0;
     StatCounter payload_bytes = 0;
   };
-
-  explicit IdealLinkTransport(bool concurrent = false) { mutex_.enable(concurrent); }
 
   void attach(const cert::DeviceId& endpoint) override;
   Status send(const cert::DeviceId& src, const cert::DeviceId& dst,
@@ -102,7 +100,7 @@ class IdealLinkTransport final : public Transport {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::unordered_map<cert::DeviceId, std::deque<Datagram>, DeviceIdHash> inboxes_
       GUARDED_BY(mutex_);
   Stats stats_;

@@ -1,7 +1,7 @@
 // Epoll readiness loop: the blocking heart of the network data plane.
 //
-// The simulated fabrics poll — pump_endpoints() and run_until_idle() spin
-// until the link reports idle, which works when the transport IS the
+// The simulated fabrics poll — pump_endpoints() and settle() spin until
+// the link reports idle, which works when the transport IS the
 // simulation. A kernel socket has no such oracle: readiness arrives
 // asynchronously, so the loop must block on epoll and wake for exactly two
 // reasons — a socket became readable/writable, or a broker retransmission

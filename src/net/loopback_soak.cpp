@@ -48,14 +48,13 @@ Result<SoakReport> run_loopback_soak(const SoakConfig& config) {
 
   std::unique_ptr<FdTransport> server_transport;
   std::uint16_t server_port = 0;
-  const bool concurrent = config.server_workers > 0;
   if (config.tcp) {
-    auto opened = TcpStreamTransport::listen({.port = 0, .concurrent = concurrent});
+    auto opened = TcpStreamTransport::listen({.port = 0});
     if (!opened.ok()) return opened.error();
     server_port = (*opened)->port();
     server_transport = std::move(opened).value();
   } else {
-    auto opened = UdpTransport::open({.port = 0, .concurrent = concurrent});
+    auto opened = UdpTransport::open({.port = 0});
     if (!opened.ok()) return opened.error();
     server_port = (*opened)->port();
     server_transport = std::move(opened).value();

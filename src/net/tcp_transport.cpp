@@ -26,7 +26,6 @@ Result<std::unique_ptr<TcpStreamTransport>> TcpStreamTransport::connect_to(Confi
 TcpStreamTransport::TcpStreamTransport(Config config, Fd listen_fd, Fd client_fd,
                                        std::uint16_t port)
     : config_(config), listen_fd_(std::move(listen_fd)), port_(port) {
-  mutex_.enable(config.concurrent);
   if (client_fd.valid()) {
     MutexLock lock(mutex_);
     client_fd_ = client_fd.get();

@@ -34,8 +34,7 @@ namespace ecqv::net {
 class TcpStreamTransport final : public FdTransport {
  public:
   struct Config {
-    std::uint16_t port = 0;   // listen(): 0 = ephemeral; connect_to(): target
-    bool concurrent = false;  // arm the mutex for worker-pool brokers
+    std::uint16_t port = 0;  // listen(): 0 = ephemeral; connect_to(): target
     /// Cap on one connection's un-flushed outbound buffer; a frame that
     /// would exceed it is dropped (counted in wire_stats().send_drops) —
     /// backpressure must not become unbounded memory.
@@ -99,7 +98,7 @@ class TcpStreamTransport final : public FdTransport {
   std::uint16_t port_ = 0;
   int client_fd_ = -1;  // client mode: the single connection's fd
 
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::map<int, std::unique_ptr<Conn>> conns_ GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, int, proto::DeviceIdHash> routes_ GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, std::deque<proto::Datagram>, proto::DeviceIdHash> inboxes_

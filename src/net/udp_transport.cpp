@@ -32,13 +32,10 @@ Result<std::unique_ptr<UdpTransport>> UdpTransport::open(Config config) {
   auto bound = local_port(fd->get());
   if (!bound.ok()) return bound.error();
   return std::unique_ptr<UdpTransport>(
-      new UdpTransport(std::move(fd).value(), bound.value(), config));
+      new UdpTransport(std::move(fd).value(), bound.value()));
 }
 
-UdpTransport::UdpTransport(Fd fd, std::uint16_t port, const Config& config)
-    : fd_(std::move(fd)), port_(port) {
-  mutex_.enable(config.concurrent);
-}
+UdpTransport::UdpTransport(Fd fd, std::uint16_t port) : fd_(std::move(fd)), port_(port) {}
 
 void UdpTransport::add_route(const cert::DeviceId& dst, std::uint16_t port) {
   MutexLock lock(mutex_);
@@ -119,14 +116,19 @@ std::size_t UdpTransport::service() {
   return decoded;
 }
 
-std::optional<proto::Datagram> UdpTransport::receive(const cert::DeviceId& dst) {
-  service();
+std::optional<proto::Datagram> UdpTransport::pop(const cert::DeviceId& dst) {
   MutexLock lock(mutex_);
   const auto inbox = inboxes_.find(dst);
   if (inbox == inboxes_.end() || inbox->second.empty()) return std::nullopt;
   proto::Datagram out = std::move(inbox->second.front());
   inbox->second.pop_front();
   return out;
+}
+
+std::optional<proto::Datagram> UdpTransport::receive(const cert::DeviceId& dst) {
+  if (auto queued = pop(dst)) return queued;
+  service();
+  return pop(dst);
 }
 
 bool UdpTransport::idle() {

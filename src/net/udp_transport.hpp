@@ -31,8 +31,10 @@ namespace ecqv::net {
 class UdpTransport final : public FdTransport {
  public:
   struct Config {
-    std::uint16_t port = 0;   // 0 = kernel-assigned ephemeral port
-    bool concurrent = false;  // arm the mutex for worker-pool brokers
+    std::uint16_t port = 0;  // 0 = kernel-assigned ephemeral port
+    /// Unread: the transport always locks. Kept only because perfbench's
+    /// fabric still names it in a designated initializer.
+    bool concurrent = false;
     /// Kernel buffer request for both directions (clamped to
     /// rmem_max/wmem_max). The default 208 KiB rcvbuf holds only ~80
     /// handshake replies — one fat wave landing while the servicing
@@ -60,6 +62,8 @@ class UdpTransport final : public FdTransport {
   void attach(const cert::DeviceId& endpoint) override;
   Status send(const cert::DeviceId& src, const cert::DeviceId& dst,
               const proto::Message& message) override;
+  /// Pops `dst`'s inbox; reads the socket (service()) only when the inbox
+  /// is empty, so a queued datagram costs no recvfrom.
   std::optional<proto::Datagram> receive(const cert::DeviceId& dst) override;
   [[nodiscard]] bool idle() override;
 
@@ -70,11 +74,12 @@ class UdpTransport final : public FdTransport {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  UdpTransport(Fd fd, std::uint16_t port, const Config& config);
+  UdpTransport(Fd fd, std::uint16_t port);
+  std::optional<proto::Datagram> pop(const cert::DeviceId& dst) EXCLUDES(mutex_);
 
   Fd fd_;
   std::uint16_t port_ = 0;
-  OptionalMutex mutex_;
+  Mutex mutex_;
   std::unordered_map<cert::DeviceId, std::deque<proto::Datagram>, proto::DeviceIdHash> inboxes_
       GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, sockaddr_in, proto::DeviceIdHash> routes_

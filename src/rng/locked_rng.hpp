@@ -20,7 +20,7 @@ class LockedRng final : public Rng {
   explicit LockedRng(Rng& inner) : inner_(inner) {}
 
   void fill(ByteSpan out) override {
-    StdMutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     inner_.fill(out);
   }
 

@@ -12,7 +12,7 @@ namespace {
 class Counter {
  public:
   int safe_read() const {
-    ecqv::StdMutexLock lock(mutex_);
+    ecqv::MutexLock lock(mutex_);
     return value_;
   }
 

@@ -67,13 +67,12 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
   constexpr std::size_t kPeers = ECQV_TSAN ? 160 : 1000;
   Fleet fleet(kPeers + 1);
 
-  IdealLinkTransport inner(/*concurrent=*/true);
+  IdealLinkTransport inner;
   FaultyTransport::Config fault_config;
   fault_config.seed = 20230417;
   fault_config.p_drop = 0.20;
   fault_config.p_duplicate = 0.05;
   fault_config.p_reorder = 0.05;
-  fault_config.concurrent = true;
   FaultyTransport link(inner, std::move(fault_config));
 
   rng::TestRng server_rng(400);
@@ -179,12 +178,9 @@ TEST(ChaosSoak, FleetOverCanFdWithFrameLevelLoss) {
   Fleet fleet(kPeers + 1);
 
   can::CanFdTransport::Config can_config;
-  can_config.concurrent = true;
   can_config.drop_frame = FaultyTransport::frame_drop_plan(/*seed=*/7, /*p=*/0.02);
   can::CanFdTransport bus(std::move(can_config));
-  FaultyTransport::Config wrapper;  // no datagram faults — loss is frame-level
-  wrapper.concurrent = true;
-  FaultyTransport link(bus, std::move(wrapper));
+  FaultyTransport link(bus, {});  // no datagram faults — loss is frame-level
 
   rng::TestRng server_rng(500);
   ConcurrentSessionBroker::Config server_config{chaos_config(kPeers), /*workers=*/2};

@@ -79,7 +79,7 @@ TEST(ConcurrentBroker, InlineModeHandshakeAndData) {
 TEST(ConcurrentBroker, WorkerPoolServesManyPeersWithExactAccounting) {
   constexpr std::size_t kPeers = 32;
   Fleet fleet(kPeers + 1);
-  IdealLinkTransport link(/*concurrent=*/true);
+  IdealLinkTransport link;
 
   rng::TestRng server_rng(100);
   std::atomic<std::size_t> records{0};
@@ -125,7 +125,7 @@ TEST(ConcurrentBroker, WorkerPoolServesManyPeersWithExactAccounting) {
 
 TEST(ConcurrentBroker, PerPeerOrderingSurvivesTheWorkerPool) {
   Fleet fleet(2);
-  IdealLinkTransport link(/*concurrent=*/true);
+  IdealLinkTransport link;
   rng::TestRng server_rng(300), client_rng(301);
 
   std::mutex order_mutex;
@@ -160,9 +160,7 @@ TEST(ConcurrentBroker, SoakThousandPeersOverCanFd) {
   constexpr std::size_t kPeers = ECQV_TSAN ? 160 : 1000;
   constexpr std::size_t kCapacity = ECQV_TSAN ? 64 : 256;
   Fleet fleet(kPeers + 1);
-  can::CanFdTransport::Config link_config;
-  link_config.concurrent = true;
-  can::CanFdTransport link(std::move(link_config));
+  can::CanFdTransport link;
 
   rng::TestRng server_rng(400);
   ConcurrentSessionBroker::Config server_config{fleet_config(kCapacity), /*workers=*/4};

@@ -1,5 +1,7 @@
 // Sharded session store: LRU eviction order, capacity bounds, dead-session
-// reclamation (the lingering fix), epoch ratcheting and sweeps.
+// reclamation (the lingering fix), epoch ratcheting and sweeps, plus the
+// paper's two-party session lifecycle (§II-A rekey budgets) on a single
+// shard with ratcheting off.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -24,6 +26,12 @@ SessionStore::Config config(std::size_t capacity, std::size_t shards = 1,
                             RekeyPolicy policy = RekeyPolicy::unlimited(),
                             std::uint32_t max_epochs = 8) {
   return SessionStore::Config{policy, capacity, shards, max_epochs};
+}
+
+/// The two-party profile: one shard, no epoch ratchet — a spent or aged
+/// session is dead and the caller must run a fresh handshake.
+SessionStore::Config two_party(RekeyPolicy policy = {}) {
+  return config(/*capacity=*/8, /*shards=*/1, policy, /*max_epochs=*/0);
 }
 
 TEST(SessionStore, LruEvictionOrderIsExact) {
@@ -216,6 +224,71 @@ TEST(SessionStore, ClockRegressionForcesRekey) {
   EXPECT_TRUE(store.needs_rekey(peer(1), kT0 - 1));
 }
 
+TEST(SessionStore, NeedsRekeyBeforeInstall) {
+  SessionStore store(Role::kInitiator, two_party());
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0));
+  EXPECT_FALSE(store.seal(peer(1), bytes_of("x"), kT0).ok());
+  EXPECT_EQ(store.active_sessions(), 0u);
+}
+
+TEST(SessionStore, RecordBudgetTriggersRekey) {
+  SessionStore store(Role::kInitiator, two_party(RekeyPolicy{3, UINT64_MAX}));
+  store.install(peer(1), keys_for("records"), kT0);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0).ok()) << i;
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0));
+  EXPECT_EQ(store.seal(peer(1), bytes_of("m"), kT0).error(), Error::kBadState);
+}
+
+TEST(SessionStore, AgeBudgetTriggersRekey) {
+  SessionStore store(Role::kInitiator, two_party(RekeyPolicy{UINT64_MAX, 60}));
+  store.install(peer(1), keys_for("age"), kT0);
+  EXPECT_FALSE(store.needs_rekey(peer(1), kT0 + 60));
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0 + 61));
+  EXPECT_FALSE(store.seal(peer(1), bytes_of("m"), kT0 + 61).ok());
+}
+
+TEST(SessionStore, ReinstallResetsBudgets) {
+  SessionStore store(Role::kInitiator, two_party(RekeyPolicy{2, 60}));
+  store.install(peer(1), keys_for("first"), kT0);
+  (void)store.seal(peer(1), bytes_of("m"), kT0);
+  (void)store.seal(peer(1), bytes_of("m"), kT0);
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0));
+  store.install(peer(1), keys_for("second"), kT0 + 100);
+  EXPECT_FALSE(store.needs_rekey(peer(1), kT0 + 100));
+  EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0 + 100).ok());
+}
+
+TEST(SessionStore, RekeyChangesKeysOnTheWire) {
+  // Records sealed under the old session must not open under the new one.
+  SessionStore a(Role::kInitiator, two_party());
+  SessionStore b(Role::kResponder, two_party());
+  a.install(peer(1), keys_for("old"), kT0);
+  const Bytes old_record = a.seal(peer(1), bytes_of("m"), kT0).value();
+  b.install(peer(1), keys_for("new"), kT0);
+  EXPECT_FALSE(b.open(peer(1), old_record, kT0).ok());
+}
+
+TEST(SessionStore, RetireRemovesSession) {
+  SessionStore store(Role::kInitiator, two_party());
+  store.install(peer(1), keys_for("retire"), kT0);
+  EXPECT_EQ(store.active_sessions(), 1u);
+  store.retire(peer(1));
+  EXPECT_EQ(store.active_sessions(), 0u);
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0));
+  store.retire(peer(1));  // idempotent
+}
+
+TEST(SessionStore, IndependentPeers) {
+  SessionStore store(Role::kInitiator, two_party(RekeyPolicy{1, UINT64_MAX}));
+  store.install(peer(1), keys_for("p1"), kT0);
+  store.install(peer(2), keys_for("p2"), kT0);
+  EXPECT_TRUE(store.seal(peer(1), bytes_of("m"), kT0).ok());
+  EXPECT_TRUE(store.needs_rekey(peer(1), kT0));   // budget spent
+  EXPECT_FALSE(store.needs_rekey(peer(2), kT0));  // untouched
+  // The spent session was wiped and evicted the moment it was touched.
+  EXPECT_EQ(store.active_sessions(), 1u);
+}
+
 TEST(SessionStore, ConcurrentInstallSealSweepStress) {
   // Per-shard locking under fire: 8 threads churn overlapping peers with
   // installs, seals, ratchets, retires and sweeps. Run under TSan in CI.
@@ -226,7 +299,6 @@ TEST(SessionStore, ConcurrentInstallSealSweepStress) {
   cfg.shards = 16;
   cfg.policy = RekeyPolicy::unlimited();
   cfg.max_epochs = 4;
-  cfg.concurrent = true;
   SessionStore store(Role::kInitiator, cfg);
 
   constexpr std::size_t kThreads = 8;

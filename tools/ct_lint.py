@@ -7,10 +7,10 @@ mechanism whose other half is the type system (common/secret.hpp deletes
 the operators, this lint polices the span escapes C++ cannot type):
 
   1. No raw std::lock_guard / std::scoped_lock over the annotated
-     capabilities (OptionalMutex / ecqv::Mutex). Clang's thread-safety
-     analysis cannot see through std guards on custom mutexes, so locking
-     them must go through MutexLock / StdMutexLock. std::mutex guards for
-     pure condition-variable rendezvous are fine.
+     capability ecqv::Mutex. Clang's thread-safety analysis cannot see
+     through std guards on custom mutexes, so locking it must go through
+     MutexLock. std::mutex guards for pure condition-variable rendezvous
+     are fine.
   2. No memcmp over key material. Identifiers that smell like secrets
      (key, secret, nonce, ikm, okm, mac) next to memcmp are an error —
      the only equality on key bytes is ct_equal.
@@ -45,7 +45,7 @@ SECRET_NAME = re.compile(
     r"\b\w*(key|secret|nonce|ikm|okm|mac)\w*\b", re.IGNORECASE)
 MEMCMP = re.compile(r"\bmemcmp\s*\(")
 STD_GUARD_ON_CAPABILITY = re.compile(
-    r"std::(lock_guard|scoped_lock|unique_lock)\s*<\s*(ecqv::)?(OptionalMutex|Mutex)\s*>")
+    r"std::(lock_guard|scoped_lock|unique_lock)\s*<\s*(ecqv::)?Mutex\s*>")
 SECRET_SPAN_COMPARE = re.compile(
     r"(\.bytes\(\)\s*[!=]=)|([!=]=\s*\w+(\.\w+)*\.bytes\(\))")
 NTSA = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
@@ -114,7 +114,7 @@ def main() -> int:
             if STD_GUARD_ON_CAPABILITY.search(line):
                 errors.append(
                     f"{where}: std guard over an annotated capability — "
-                    "use MutexLock/StdMutexLock so -Wthread-safety sees the acquisition")
+                    "use MutexLock so -Wthread-safety sees the acquisition")
 
             if MEMCMP.search(line) and SECRET_NAME.search(line):
                 errors.append(
