@@ -98,12 +98,12 @@ bool run_sweep_point(Fleet& fleet, double p_drop) {
 
     const double start_ms = link.now_ms();
     if (!client.connect(fleet.devices[0].id, kNow).ok()) return false;
-    proto::settle_lossy(endpoints, link, kNow);
+    proto::settle(endpoints, kNow);
     if (!client.broker().session_ready(fleet.devices[0].id, kNow)) {
       // The budget ran dry on pure bad luck; a real node reconnects once.
       ++reconnects;
       if (!client.connect(fleet.devices[0].id, kNow).ok()) return false;
-      proto::settle_lossy(endpoints, link, kNow);
+      proto::settle(endpoints, kNow);
       if (!client.broker().session_ready(fleet.devices[0].id, kNow)) {
         std::fprintf(stderr, "bench_chaos_soak: stuck handshake (peer %zu, loss %.0f%%)\n", i,
                      p_drop * 100.0);
@@ -141,7 +141,7 @@ bool run_sweep_point(Fleet& fleet, double p_drop) {
     if (!client->broker().session_ready(fleet.devices[0].id, kNow)) continue;
     client->send_data(fleet.devices[0].id, payload, kNow);
     std::vector<proto::ConcurrentSessionBroker*> endpoints{&server, client.get()};
-    proto::settle_lossy(endpoints, link, kNow);
+    proto::settle(endpoints, kNow);
   }
   std::uint64_t records = 0, payload_bytes = 0, wire_bytes = 0;
   for (const auto& client : clients) {

@@ -86,56 +86,45 @@ double run_fleet_workload(Fleet& fleet, proto::Transport& link, std::size_t work
   };
   proto::ConcurrentSessionBroker server(fleet.devices[0], server_rng, link, server_config);
 
-  proto::BrokerConfig client_config;
-  client_config.store.capacity = 4;
-  client_config.store.policy = proto::RekeyPolicy::unlimited();
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.capacity = 4;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
   std::vector<std::unique_ptr<rng::TestRng>> rngs;
-  std::vector<std::unique_ptr<rng::LockedRng>> locked;
-  std::vector<std::unique_ptr<proto::SessionBroker>> clients;
+  std::vector<std::unique_ptr<proto::ConcurrentSessionBroker>> clients;
   for (std::size_t i = 1; i <= kFleet; ++i) {
     rngs.push_back(std::make_unique<rng::TestRng>(300 + i));
-    locked.push_back(std::make_unique<rng::LockedRng>(*rngs.back()));
-    clients.push_back(
-        std::make_unique<proto::SessionBroker>(fleet.devices[i], *locked.back(), client_config));
-    link.attach(clients.back()->id());
+    clients.push_back(std::make_unique<proto::ConcurrentSessionBroker>(
+        fleet.devices[i], *rngs.back(), link, client_config));
   }
 
   const std::size_t driver_count = workers == 0 ? 1 : workers;
   std::atomic<bool> done{false};
   const auto start = Clock::now();
 
-  // Client driver threads: kick the handshake, shuttle replies, then push
-  // the telemetry burst once the session stands.
+  // Client driver threads: kick the handshake, poll the inline client
+  // endpoints, then push the telemetry burst once the session stands. A
+  // client that cannot send would stall the workload forever: abort.
   std::vector<std::thread> drivers;
   for (std::size_t d = 0; d < driver_count; ++d) {
     drivers.emplace_back([&, d] {
-      std::vector<proto::SessionBroker*> mine;
+      std::vector<proto::ConcurrentSessionBroker*> mine;
       std::vector<bool> burst_sent;
       for (std::size_t i = d; i < kFleet; i += driver_count) {
         mine.push_back(clients[i].get());
         burst_sent.push_back(false);
       }
-      for (proto::SessionBroker* client : mine) {
-        auto first = client->connect(server_id, kNow);
-        if (first.ok()) (void)link.send(client->id(), server_id, std::move(first).value());
-      }
+      for (proto::ConcurrentSessionBroker* client : mine)
+        if (!client->connect(server_id, kNow).ok()) std::abort();
       while (!done.load(std::memory_order_acquire)) {
         bool progress = false;
         for (std::size_t c = 0; c < mine.size(); ++c) {
-          proto::SessionBroker* client = mine[c];
-          while (auto datagram = link.receive(client->id())) {
-            progress = true;
-            auto reply = client->on_message(datagram->src, datagram->message, kNow);
-            if (reply.ok() && reply->has_value())
-              (void)link.send(client->id(), datagram->src, **reply);
-          }
-          if (!burst_sent[c] && client->session_ready(server_id, kNow)) {
+          proto::ConcurrentSessionBroker* client = mine[c];
+          if (client->poll(kNow) > 0) progress = true;
+          if (!burst_sent[c] && client->broker().session_ready(server_id, kNow)) {
             burst_sent[c] = true;
             progress = true;
-            for (std::size_t r = 0; r < kRecords; ++r) {
-              auto record = client->make_data(server_id, bytes_of("telemetry"), kNow);
-              if (record.ok()) (void)link.send(client->id(), server_id, std::move(record).value());
-            }
+            for (std::size_t r = 0; r < kRecords; ++r)
+              if (!client->send_data(server_id, bytes_of("telemetry"), kNow).ok()) std::abort();
           }
         }
         if (!progress) std::this_thread::yield();

@@ -23,7 +23,6 @@
 #include "net/event_loop.hpp"
 #include "net/gateway.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 using namespace ecqv;
@@ -92,21 +91,17 @@ int main(int argc, char** argv) {
   // --- the bridge ----------------------------------------------------------
   net::FleetGateway gateway(bus, **gateway_socket, {backend_creds.id});
 
-  // --- ECUs on the bus -----------------------------------------------------
-  proto::BrokerConfig ecu_config;
-  ecu_config.store.capacity = 2;
-  ecu_config.store.policy = backend_config.broker.store.policy;
+  // --- ECUs on the bus: inline endpoints on the bus clock ------------------
+  proto::ConcurrentSessionBroker::Config ecu_config;
+  ecu_config.broker.store.capacity = 2;
+  ecu_config.broker.store.policy = backend_config.broker.store.policy;
   std::vector<std::unique_ptr<rng::TestRng>> rngs;
-  std::vector<std::unique_ptr<rng::LockedRng>> locked;
-  std::vector<std::unique_ptr<proto::SessionBroker>> ecus;
+  std::vector<std::unique_ptr<proto::ConcurrentSessionBroker>> ecus;
   for (std::size_t i = 0; i < ecu_count; ++i) {
     rngs.push_back(std::make_unique<rng::TestRng>(100 + i));
-    locked.push_back(std::make_unique<rng::LockedRng>(*rngs.back()));
-    ecus.push_back(
-        std::make_unique<proto::SessionBroker>(ecu_creds[i], *locked.back(), ecu_config));
-    bus.attach(ecus.back()->id());
-    auto first = ecus.back()->connect(backend_creds.id, kNow);
-    if (first.ok()) (void)bus.send(ecus.back()->id(), backend_creds.id, std::move(*first));
+    ecus.push_back(std::make_unique<proto::ConcurrentSessionBroker>(ecu_creds[i],
+                                                                    *rngs.back(), bus, ecu_config));
+    (void)ecus.back()->connect(backend_creds.id, kNow);  // a failed ECU shows in the report
   }
 
   // --- run the fleet across the bridge -------------------------------------
@@ -119,18 +114,12 @@ int main(int argc, char** argv) {
     (*gateway_socket)->service();
     gateway.pump();
     for (std::size_t i = 0; i < ecus.size(); ++i) {
-      proto::SessionBroker& ecu = *ecus[i];
-      while (auto datagram = bus.receive(ecu.id())) {
-        auto reply = ecu.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)bus.send(ecu.id(), datagram->src, **reply);
-      }
-      while (sent[i] < records && ecu.session_ready(backend_creds.id, kNow)) {
-        auto record = ecu.make_data(backend_creds.id, bytes_of("soc=77% lat=48.1"), kNow);
-        if (!record.ok()) break;
-        (void)bus.send(ecu.id(), backend_creds.id, std::move(*record));
+      proto::ConcurrentSessionBroker& ecu = *ecus[i];
+      ecu.poll(kNow);
+      // A record that cannot be sealed or sent is retried next iteration.
+      while (sent[i] < records && ecu.broker().session_ready(backend_creds.id, kNow) &&
+             ecu.send_data(backend_creds.id, bytes_of("soc=77% lat=48.1"), kNow).ok())
         ++sent[i];
-      }
     }
   }
 

@@ -65,7 +65,6 @@
 #include "net/loopback_soak.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 using namespace ecqv;
@@ -204,15 +203,14 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
   struct Vehicle {
     std::unique_ptr<proto::Credentials> creds;
     std::unique_ptr<rng::TestRng> rng;
-    std::unique_ptr<rng::LockedRng> locked;
-    std::unique_ptr<proto::SessionBroker> broker;
+    std::unique_ptr<proto::ConcurrentSessionBroker> broker;
     std::size_t sent = 0;
     bool done = false;
   };
-  proto::BrokerConfig config;
-  config.store.capacity = 4;
-  config.store.policy = proto::RekeyPolicy{2, /*max_age_seconds=*/0xffffffff};
-  config.reliability.enabled = true;
+  proto::ConcurrentSessionBroker::Config config;
+  config.broker.store.capacity = 4;
+  config.broker.store.policy = proto::RekeyPolicy{2, /*max_age_seconds=*/0xffffffff};
+  config.broker.reliability.enabled = true;
   rng::TestRng provision_rng(kSharedCaSeed + 3);
   std::vector<Vehicle> fleet(fleet_size);
   for (std::size_t i = 0; i < fleet_size; ++i) {
@@ -221,13 +219,9 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
         ca, cert::DeviceId::from_string("vehicle-" + std::to_string(i)), kNow, kDay,
         provision_rng));
     v.rng = std::make_unique<rng::TestRng>(kSharedCaSeed + 100 + i);
-    v.locked = std::make_unique<rng::LockedRng>(*v.rng);
-    v.broker = std::make_unique<proto::SessionBroker>(*v.creds, *v.locked, config);
-    v.broker->bind_clock(transport.get());
-    transport->attach(v.creds->id);
-    auto first = v.broker->connect(server_id, kNow);
-    if (!first.ok()) return 1;
-    (void)transport->send(v.creds->id, server_id, std::move(first).value());
+    v.broker =
+        std::make_unique<proto::ConcurrentSessionBroker>(*v.creds, *v.rng, *transport, config);
+    if (!v.broker->connect(server_id, kNow).ok()) return 1;
   }
 
   constexpr std::size_t kRecords = 4;
@@ -237,22 +231,12 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
     transport->service();
     for (Vehicle& v : fleet) {
       if (v.done) continue;
-      proto::SessionBroker& broker = *v.broker;
-      for (proto::SessionBroker::Outbound& out :
-           broker.poll_retransmits(transport->now_ms(), kNow))
-        (void)transport->send(broker.id(), out.peer, std::move(out.message));
-      while (auto datagram = transport->receive(broker.id())) {
-        auto reply = broker.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)transport->send(broker.id(), datagram->src, **reply);
-      }
-      if (v.sent < kRecords && broker.session_ready(server_id, kNow)) {
-        while (v.sent < kRecords) {
-          auto record = broker.make_data(server_id, bytes_of("soc=74% t=21C"), kNow);
-          if (!record.ok()) break;
-          (void)transport->send(broker.id(), server_id, std::move(record).value());
+      v.broker->poll(kNow);
+      if (v.sent < kRecords && v.broker->broker().session_ready(server_id, kNow)) {
+        // A record that cannot be sealed or sent ends the vehicle's burst.
+        while (v.sent < kRecords &&
+               v.broker->send_data(server_id, bytes_of("soc=74% t=21C"), kNow).ok())
           ++v.sent;
-        }
         v.done = true;
         ++done;
       }
@@ -260,7 +244,7 @@ int run_socket_fleet(bool tcp, std::uint16_t port, std::size_t fleet_size) {
     ::usleep(500);
   }
   std::size_t retransmits = 0;
-  for (const Vehicle& v : fleet) retransmits += v.broker->stats().retransmits.load();
+  for (const Vehicle& v : fleet) retransmits += v.broker->broker().stats().retransmits.load();
   std::printf("fleet: %zu/%zu vehicles established + streamed %zu records each "
               "(%zu retransmits, %llu wire datagrams sent)\n",
               done, fleet_size, kRecords, retransmits,
@@ -560,7 +544,7 @@ int main(int argc, char** argv) {
     lossy_endpoints.push_back(survivors.back().get());
   }
   for (auto& vehicle : survivors) (void)vehicle->connect(server_creds.id, kNow);
-  proto::settle_lossy(lossy_endpoints, lossy_link, kNow);
+  proto::settle(lossy_endpoints, kNow);
 
   std::size_t lossy_ready = 0, recovery_retransmits = 0;
   for (auto& vehicle : survivors) {
@@ -571,7 +555,7 @@ int main(int argc, char** argv) {
   // are the data plane's casualties; sessions stay healthy regardless.
   for (auto& vehicle : survivors)
     (void)vehicle->send_data(server_creds.id, bytes_of("soc=68% t=19C"), kNow);
-  proto::settle_lossy(lossy_endpoints, lossy_link, kNow);
+  proto::settle(lossy_endpoints, kNow);
 
   const proto::FaultyTransport::Stats wire = lossy_link.stats();
   const proto::SessionBroker::Stats& srv = lossy_server.broker().stats();

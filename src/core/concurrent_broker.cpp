@@ -1,7 +1,5 @@
 #include "core/concurrent_broker.hpp"
 
-#include "core/faulty_transport.hpp"
-
 namespace ecqv::proto {
 
 ConcurrentSessionBroker::ConcurrentSessionBroker(const Credentials& creds, rng::Rng& rng,
@@ -180,39 +178,36 @@ void ConcurrentSessionBroker::drain() {
 }
 
 std::size_t settle(const std::vector<ConcurrentSessionBroker*>& endpoints, std::uint64_t now) {
+  constexpr std::size_t kMaxAdvances = 1000000;  // a stuck-fabric backstop, not a knob
   std::size_t processed = 0;
-  std::size_t round = 0;
-  do {
-    round = 0;
-    for (ConcurrentSessionBroker* endpoint : endpoints) round += endpoint->poll(now);
-    for (ConcurrentSessionBroker* endpoint : endpoints) endpoint->drain();
-    processed += round;
-    // A zero round means every inbox was empty *after* all workers had
-    // drained, so no endpoint can produce further traffic: fixpoint.
-  } while (round > 0);
-  return processed;
-}
-
-std::size_t settle_lossy(const std::vector<ConcurrentSessionBroker*>& endpoints,
-                         FaultyTransport& link, std::uint64_t now, std::size_t max_rounds) {
-  std::size_t processed = 0;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    processed += settle(endpoints, now);
-    // The link is drained. Whatever is still owed can only move by time:
-    // find the earliest armed deadline across every endpoint's timer wheel
-    // and the link's delayed-datagram holds, jump the virtual clock there,
-    // and settle again (poll services the due retransmissions first).
+  for (std::size_t advance = 0; advance < kMaxAdvances; ++advance) {
+    std::size_t round = 0;
+    do {
+      round = 0;
+      for (ConcurrentSessionBroker* endpoint : endpoints) round += endpoint->poll(now);
+      for (ConcurrentSessionBroker* endpoint : endpoints) endpoint->drain();
+      processed += round;
+      // A zero round means every inbox was empty *after* all workers had
+      // drained, so no endpoint can produce further traffic right now.
+    } while (round > 0);
+    // Whatever is still owed can only move by time: move every clock to the
+    // earliest retransmission deadline or delayed-datagram release, and
+    // settle again (poll services the due retransmissions first).
     std::size_t backlog = 0;
-    std::optional<double> due = link.next_release_ms();
-    const bool delayed_traffic = due.has_value();
+    bool held = false;
+    std::optional<double> due;
     for (ConcurrentSessionBroker* endpoint : endpoints) {
       backlog += endpoint->broker().reliability_backlog();
-      const auto next = endpoint->broker().next_retransmit_due_ms();
-      if (next.has_value() && (!due.has_value() || *next < *due)) due = next;
+      const std::optional<double> release = endpoint->transport().next_release_ms();
+      held = held || release.has_value();
+      for (const std::optional<double>& t : {release, endpoint->broker().next_retransmit_due_ms()})
+        if (t.has_value() && (!due.has_value() || *t < *due)) due = t;
     }
-    if (backlog == 0 && !delayed_traffic) return processed;  // converged
-    if (!due.has_value()) return processed;  // uncovered backlog: nothing to wait for
-    link.advance_to(*due);
+    if (backlog == 0 && !held) return processed;  // converged
+    if (!due.has_value()) return processed;       // uncovered backlog: nothing to wait for
+    for (ConcurrentSessionBroker* endpoint : endpoints) endpoint->transport().advance_to(*due);
+    for (ConcurrentSessionBroker* endpoint : endpoints)
+      if (endpoint->transport().now_ms() < *due) return processed;  // the clock cannot get there
   }
   return processed;
 }

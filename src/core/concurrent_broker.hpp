@@ -1,10 +1,18 @@
-// Worker-pool session broker: the fabric's multi-core front end.
+// Worker-pool session broker: the fabric's one endpoint type.
 //
 // A SessionBroker is message-driven but agnostic about who calls it. This
-// wrapper binds one broker to a Transport and dispatches every inbound
-// datagram onto a small worker pool keyed by peer-id→worker affinity
-// (FNV-1a of the peer id modulo pool size — the same hash the store's
-// shards use). The affinity gives the two properties the protocol needs:
+// wrapper binds one broker to a Transport (attaching its id, running the
+// reliability engine on the transport's clock, locking the RNG), and its
+// poll() is the one piece of code that moves datagrams between the two: it
+// fires due retransmissions, then feeds every inbound datagram to the
+// broker and sends the reply back. connect() and send_data() put the
+// outbound half on the wire.
+//
+// With workers = 0, poll() answers inline on the calling thread: a device
+// (an ECU, a vehicle, a soak client) in the single-threaded embedded
+// profile, whose locks are never contended. With workers = N, inbound
+// datagrams go to N threads keyed by peer-id→worker affinity (FNV-1a of
+// the peer id modulo pool size — the same hash the store's shards use):
 //
 //   * per-peer ordering: all messages from one peer land on one worker's
 //     FIFO queue, so a handshake's A1/A2 and a session's records are
@@ -14,13 +22,10 @@
 //     scalar multiplications that dominate STS (paper Table I) execute
 //     truly in parallel.
 //
-// Replies produced by a worker go straight back out through the bound
-// transport (every transport is thread-safe). With workers = 0 the pool
-// degrades to inline dispatch on the polling thread — the single-threaded
-// embedded profile, same API, no threads; its locks are never contended.
-//
-// The time model stays explicit (logical `now` seconds) like everywhere
-// else in the library: poll(now) stamps the datagrams it dispatches.
+// Workers send their replies straight back out (every transport is
+// thread-safe). settle() below runs a set of endpoints in virtual time;
+// net::BrokerDriver runs one on epoll. poll(now) stamps what it dispatches
+// with the logical `now` seconds, like everywhere else in the library.
 #pragma once
 
 #include <condition_variable>
@@ -106,6 +111,7 @@ class ConcurrentSessionBroker {
   void drain();
 
   [[nodiscard]] SessionBroker& broker() { return broker_; }
+  [[nodiscard]] Transport& transport() { return transport_; }
   [[nodiscard]] const cert::DeviceId& id() const { return broker_.id(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
@@ -147,22 +153,14 @@ class ConcurrentSessionBroker {
   Stats stats_;
 };
 
-/// Settles a set of fabric endpoints sharing one transport: polls each in
-/// round-robin until every endpoint is drained and the transport is idle.
-/// Returns the total number of datagrams processed.
+/// Runs fabric endpoints to quiescence in virtual time: polls each in
+/// round-robin until a round moves nothing. If reliability work is then
+/// still owed (a pending exchange or a delayed datagram), advances every
+/// endpoint's transport to the earliest retransmission deadline or
+/// delayed-datagram release and runs rounds again. Stops when nothing is
+/// owed, when nothing armed can make progress (uncovered exchanges are the
+/// TTL sweep's job), or when a link's clock cannot reach the deadline (the
+/// ideal link's is pinned at 0). Returns the number of datagrams processed.
 std::size_t settle(const std::vector<ConcurrentSessionBroker*>& endpoints, std::uint64_t now);
-
-class FaultyTransport;  // core/faulty_transport.hpp
-
-/// Settles fabric endpoints over a lossy link: alternates settle() rounds
-/// with virtual-clock advances to the earliest retransmission deadline (or
-/// delayed-datagram release), driving the reliability engine until every
-/// endpoint's backlog clears — or until nothing is armed that could make
-/// further progress (uncovered exchanges are the TTL sweep's job), or
-/// `max_rounds` advances elapse (a stuck-fabric backstop, not a tuning
-/// knob). Returns the total number of datagrams processed.
-std::size_t settle_lossy(const std::vector<ConcurrentSessionBroker*>& endpoints,
-                         FaultyTransport& link, std::uint64_t now,
-                         std::size_t max_rounds = 1000000);
 
 }  // namespace ecqv::proto

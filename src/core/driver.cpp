@@ -18,44 +18,20 @@ std::vector<std::pair<std::string, std::size_t>> HandshakeResult::step_sizes() c
 }
 
 HandshakeResult run_handshake(Party& initiator, Party& responder) {
-  // The driver's old private shuttling loop is gone: both parties hang off
-  // an IdealLinkTransport and the shared pump moves the messages, exactly
-  // like every other fabric runner. The transcript records each datagram
-  // in wire (delivery) order.
+  // Two parties alternate directly; the transcript records each message in
+  // wire order, the rejected one included.
   HandshakeResult result;
-  IdealLinkTransport link;
-  const cert::DeviceId initiator_id = cert::DeviceId::from_string("drv-initiator");
-  const cert::DeviceId responder_id = cert::DeviceId::from_string("drv-responder");
-  link.attach(initiator_id);
-  link.attach(responder_id);
-
-  const auto endpoint_for = [&result](Party& party, const cert::DeviceId& id) {
-    return Endpoint{id, [&result, &party](const cert::DeviceId&, const Message& message) {
-                      result.transcript.push_back(message);
-                      return party.on_message(message);
-                    }};
-  };
-
   std::optional<Message> first = initiator.start();
   if (first.has_value()) {
-    if (!link.send(initiator_id, responder_id, *first).ok()) {
-      result.error = Error::kInternal;
-      return result;
-    }
-    // Generous bound: no protocol here exceeds 8 messages; the guard keeps
-    // a buggy state machine from ping-ponging forever.
-    auto pumped = pump_endpoints(
-        link, {endpoint_for(responder, responder_id), endpoint_for(initiator, initiator_id)},
-        /*max_messages=*/16);
-    if (!pumped.ok()) {
-      result.error = pumped.error();
-      return result;
-    }
+    const auto exchanged =
+        alternate(std::move(*first), [&](bool to_responder, const Message& message) {
+          result.transcript.push_back(message);
+          return (to_responder ? responder : initiator).on_message(message);
+        });
     // A two-party handshake cannot survive a single casualty: the first
-    // party rejection (tampered message, bad MAC, wrong state) is THE
-    // handshake failure, exactly as when the pump aborted on it.
-    if (!pumped->clean()) {
-      result.error = pumped->first_error;
+    // rejection (tampered message, bad MAC, wrong state) is THE failure.
+    if (!exchanged.ok()) {
+      result.error = exchanged.error();
       return result;
     }
   }

@@ -1,8 +1,8 @@
-// Handshake driver: shuttles messages between two parties until both are
+// Handshake driver: alternates messages between two parties until both are
 // established (or one fails), recording the transcript. This is the
-// "ideal link" runner used by tests, the Table II bench (byte-exact
-// overhead) and the attack harness; the CAN-FD runner in src/canfd adds
-// real transport timing on top.
+// two-party runner used by tests, the Table II bench (byte-exact overhead)
+// and the attack harness; the CAN-FD runner in src/canfd adds real
+// transport timing on top.
 #pragma once
 
 #include <memory>
@@ -24,7 +24,8 @@ struct HandshakeResult {
   [[nodiscard]] std::size_t total_bytes() const { return transcript_bytes(transcript); }
 };
 
-/// Runs a complete handshake over an ideal link.
+/// Runs a complete handshake, one message in flight at a time. A pair that
+/// is still talking after kMaxExchange messages fails with kBadState.
 HandshakeResult run_handshake(Party& initiator, Party& responder);
 
 /// Instantiates both endpoints of any of the seven protocol variants.

@@ -118,16 +118,16 @@ class FaultyTransport final : public Transport {
   void set_fault_probabilities(double drop, double duplicate, double reorder, double delay,
                                double corrupt);
 
-  /// Advances the local clock floor (releasing due delayed datagrams on
-  /// the next receive()/idle()). Monotonic: moving backwards is a no-op.
-  void advance_to(double t_ms);
+  /// Advances the local clock floor and releases due delayed datagrams.
+  /// Monotonic: moving backwards is a no-op.
+  void advance_to(double t_ms) override;
   void advance_ms(double delta_ms) { advance_to(now_ms() + delta_ms); }
 
   /// Earliest instant a held datagram becomes releasable (delay faults
   /// only — reorder holds release on traffic, not time). nullopt when no
-  /// delayed datagram is pending. Drivers advance the clock here when the
-  /// link stalls.
-  [[nodiscard]] std::optional<double> next_release_ms();
+  /// delayed datagram is pending. settle() advances the clock here when
+  /// the link stalls.
+  [[nodiscard]] std::optional<double> next_release_ms() override;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] Transport& inner() { return inner_; }

@@ -59,6 +59,16 @@ bool same_message(const Message& a, const Message& b) {
   return a.sender == b.sender && a.step == b.step && a.payload == b.payload;
 }
 
+// Retransmission backoff: attempt k waits min(rto_ms * kBackoff^(k-1),
+// kMaxRtoMs), jittered by +-kJitterFrac.
+constexpr double kBackoff = 2.0;
+constexpr double kMaxRtoMs = 800.0;
+constexpr double kJitterFrac = 0.25;
+// Backpressure bound on armed timers: at the cap, new exchanges run without
+// retransmission cover (counted in stats.backpressure) instead of growing
+// the heap without bound.
+constexpr std::size_t kMaxTracked = 4096;
+
 }  // namespace
 
 SessionBroker::SessionBroker(const Credentials& creds, rng::Rng& rng, BrokerConfig config)
@@ -70,10 +80,9 @@ SessionBroker::SessionBroker(const Credentials& creds, rng::Rng& rng, BrokerConf
 
 double SessionBroker::rto_after(const cert::DeviceId& peer, std::uint32_t attempts,
                                 std::uint64_t gen) const {
-  const ReliabilityConfig& r = config_.reliability;
-  double base = r.rto_ms;
-  for (std::uint32_t i = 1; i < attempts && base < r.max_rto_ms; ++i) base *= r.backoff;
-  base = std::min(base, r.max_rto_ms);
+  double base = config_.reliability.rto_ms;
+  for (std::uint32_t i = 1; i < attempts && base < kMaxRtoMs; ++i) base *= kBackoff;
+  base = std::min(base, kMaxRtoMs);
   // Deterministic jitter from (peer, attempt, generation): replayable from
   // a seed, yet no two exchanges back off in lockstep.
   std::uint64_t h = 1469598103934665603ull;
@@ -81,12 +90,12 @@ double SessionBroker::rto_after(const cert::DeviceId& peer, std::uint32_t attemp
   h = (h ^ attempts) * 1099511628211ull;
   h = (h ^ gen) * 1099511628211ull;
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  return base * (1.0 + r.jitter_frac * (2.0 * u - 1.0));
+  return base * (1.0 + kJitterFrac * (2.0 * u - 1.0));
 }
 
 void SessionBroker::arm(double due_ms, const cert::DeviceId& peer, TimerQueue::Kind kind,
                         std::uint64_t gen) {
-  if (timers_.size() >= config_.reliability.max_tracked) {
+  if (timers_.size() >= kMaxTracked) {
     ++stats_.backpressure;  // exchange runs uncovered; TTL sweep still applies
     return;
   }
@@ -668,23 +677,10 @@ std::vector<SessionBroker::Outbound> SessionBroker::poll_retransmits(double now_
 Result<std::size_t> SessionBroker::pump(SessionBroker& sender, SessionBroker& receiver,
                                         Result<Message> first, std::uint64_t now) {
   if (!first.ok()) return first.error();
-  IdealLinkTransport link;
-  link.attach(sender.id());
-  link.attach(receiver.id());
-  const Status kicked = link.send(sender.id(), receiver.id(), std::move(first).value());
-  if (!kicked.ok()) return kicked.error();
-  const auto endpoint_for = [now](SessionBroker& broker) {
-    return Endpoint{broker.id(), [&broker, now](const cert::DeviceId& from, const Message& m) {
-                      return broker.on_message(from, m, now);
-                    }};
-  };
-  auto pumped = pump_endpoints(link, {endpoint_for(receiver), endpoint_for(sender)});
-  if (!pumped.ok()) return pumped.error();
-  // Preserve the historical two-broker contract: the first rejection of
-  // this exchange surfaces as the pump's failure (a replayed RK1, a record
-  // for a dead session, ...), with everything already drained.
-  if (!pumped->clean()) return pumped->first_error;
-  return pumped->delivered;
+  return alternate(std::move(first).value(), [&](bool to_receiver, const Message& message) {
+    SessionBroker& from = to_receiver ? sender : receiver;
+    return (to_receiver ? receiver : sender).on_message(from.id(), message, now);
+  });
 }
 
 }  // namespace ecqv::proto

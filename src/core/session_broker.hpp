@@ -74,14 +74,10 @@ namespace ecqv::proto {
 struct ReliabilityConfig {
   bool enabled = false;
   /// First retransmission timeout; attempt k waits
-  /// min(rto_ms * backoff^(k-1), max_rto_ms), jittered by +-jitter_frac.
+  /// min(rto_ms * 2^(k-1), 800 ms), jittered by +-25%. The jitter factor is
+  /// derived from (peer, attempt, generation), so a seeded run replays
+  /// exactly yet fleet retransmissions never synchronize into bursts.
   double rto_ms = 50.0;
-  double backoff = 2.0;
-  double max_rto_ms = 800.0;
-  /// Deterministic jitter: the factor is derived from (peer, attempt,
-  /// generation), so a seeded run replays exactly yet fleet retransmissions
-  /// never synchronize into bursts.
-  double jitter_frac = 0.25;
   /// Total transmissions (first send + retransmits) per handshake message
   /// before the handshake aborts.
   std::uint32_t handshake_budget = 10;
@@ -90,10 +86,6 @@ struct ReliabilityConfig {
   /// Consecutive aborted exchanges before the peer is declared dead
   /// (peer_dead()); any completed handshake clears the strikes.
   std::uint32_t dead_after = 3;
-  /// Backpressure bound on armed timers: at the cap, new exchanges run
-  /// without retransmission cover (counted in stats.backpressure) instead
-  /// of growing the heap without bound.
-  std::size_t max_tracked = 4096;
   /// How long a completed handshake's final reply stays cached to answer a
   /// retransmitted last flight (the peer's ack was lost).
   double finished_ttl_ms = 4000.0;
@@ -167,12 +159,11 @@ class SessionBroker {
   Result<std::optional<Message>> on_message(const cert::DeviceId& peer, const Message& incoming,
                                             std::uint64_t now);
 
-  /// Ideal-link pump for tests, benches and examples: delivers `first`
+  /// Two-party exchange for tests, benches and examples: delivers `first`
   /// (produced by `sender` — a connect(), refresh() or ratchet message for
-  /// `receiver`) and shuttles replies until neither side has output.
-  /// Returns the number of messages exchanged. Internally one
-  /// pump_endpoints() run over an IdealLinkTransport — the same loop every
-  /// other fabric runner uses.
+  /// `receiver`) and hands each reply straight back until neither side has
+  /// output (alternate() in core/transport.hpp). Returns the number of
+  /// messages exchanged, or the first rejection.
   static Result<std::size_t> pump(SessionBroker& sender, SessionBroker& receiver,
                                   Result<Message> first, std::uint64_t now);
 
@@ -361,8 +352,8 @@ class SessionBroker {
   /// made — exponential, capped, deterministically jittered.
   [[nodiscard]] double rto_after(const cert::DeviceId& peer, std::uint32_t attempts,
                                  std::uint64_t gen) const;
-  /// Arms one timer unless the heap is at reliability.max_tracked (then
-  /// counts backpressure instead — the exchange runs uncovered).
+  /// Arms one timer unless the heap is at its cap (then counts
+  /// backpressure instead — the exchange runs uncovered).
   void arm(double due_ms, const cert::DeviceId& peer, TimerQueue::Kind kind, std::uint64_t gen);
   /// Records one aborted exchange against the peer; flips it dead at the
   /// strike threshold.

@@ -8,6 +8,10 @@ void Transport::charge(const cert::DeviceId& /*endpoint*/, double /*ms*/) {}
 
 double Transport::endpoint_time_ms(const cert::DeviceId& /*endpoint*/) { return now_ms(); }
 
+void Transport::advance_to(double /*t_ms*/) {}
+
+std::optional<double> Transport::next_release_ms() { return std::nullopt; }
+
 void IdealLinkTransport::attach(const cert::DeviceId& endpoint) {
   MutexLock lock(mutex_);
   inboxes_.try_emplace(endpoint);
@@ -39,48 +43,6 @@ bool IdealLinkTransport::idle() {
   for (const auto& [id, inbox] : inboxes_)
     if (!inbox.empty()) return false;
   return true;
-}
-
-Result<PumpStats> pump_endpoints(Transport& transport, const std::vector<Endpoint>& endpoints,
-                                 std::size_t max_messages) {
-  PumpStats stats;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (const auto& endpoint : endpoints) {
-      for (;;) {
-        if (stats.delivered >= max_messages) {
-          // Budget spent: stop BEFORE consuming another datagram, so the
-          // boundary loses nothing — refused traffic stays queued in the
-          // transport. Anything still deliverable means the state machines
-          // are ping-ponging past the guard: transport misuse, the one
-          // early return left.
-          if (!transport.idle()) return Error::kBadState;
-          return stats;
-        }
-        auto datagram = transport.receive(endpoint.id);
-        if (!datagram.has_value()) break;
-        ++stats.delivered;
-        progress = true;
-        auto reply = endpoint.handler(datagram->src, datagram->message);
-        if (!reply.ok()) {
-          // One peer's poisoned datagram is that peer's problem: count it
-          // and keep draining everyone else.
-          ++stats.handler_errors;
-          if (stats.first_error == Error::kOk) stats.first_error = reply.error();
-          continue;
-        }
-        if (reply->has_value()) {
-          const Status sent = transport.send(endpoint.id, datagram->src, **reply);
-          if (!sent.ok()) {
-            ++stats.send_errors;
-            if (stats.first_error == Error::kOk) stats.first_error = sent.error();
-          }
-        }
-      }
-    }
-  }
-  return stats;
 }
 
 }  // namespace ecqv::proto

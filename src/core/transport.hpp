@@ -1,27 +1,27 @@
 // Pluggable transport layer: how fabric messages move between endpoints.
 //
-// The paper frames the protocol as messages riding a CAN-FD stack (Fig. 6);
-// PR 2's broker instead shuttled Message objects directly between two
-// objects in memory, and every test/bench/example grew its own copy of that
-// loop. This interface makes the link an explicit, swappable component:
+// The paper frames the protocol as messages riding a CAN-FD stack (Fig. 6).
+// A Transport makes that link an explicit, swappable component:
 //
-//   * IdealLinkTransport — the zero-latency in-memory link (what the old
-//     pump loops modeled implicitly), with optional thread safety so a
-//     worker pool can send replies while the main loop polls.
+//   * IdealLinkTransport — the zero-latency in-memory link, behind one
+//     mutex so a worker pool can send replies while the main loop polls.
 //   * can::CanFdTransport (src/canfd/canfd_transport.hpp) — the same
 //     datagrams framed through session-layer PDUs + ISO-TP fragmentation
 //     onto the simulated CAN-FD bus, so fleet runs measure real
 //     fragmentation, flow control and bus timing.
+//   * FaultyTransport (fault injection over either) and the net/ sockets.
 //
 // A Datagram is one addressed fabric message: source, destination, and the
 // protocol Message (handshake step, ratchet announcement, or sealed data
 // record). Transports deliver per-destination FIFO; per-source ordering to
 // one destination is preserved — the property the broker's per-peer
-// handshake state machine relies on.
+// handshake state machine relies on. ConcurrentSessionBroker::poll is the
+// one piece of code that moves datagrams between a Transport and a broker.
+// A two-party exchange never has more than one message in flight, so it
+// needs no link: alternate() below hands each reply straight back.
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -80,6 +80,17 @@ class Transport {
   /// An endpoint's local clock: the later of its accumulated compute and
   /// the link clock at its last delivery.
   [[nodiscard]] virtual double endpoint_time_ms(const cert::DeviceId& endpoint);
+
+  /// Moves the link clock forward to `t_ms`, releasing whatever the link
+  /// held until then. Monotonic: moving backwards is a no-op. Links whose
+  /// clock is not the caller's to move ignore it: the ideal link stays
+  /// pinned at 0, the bus advances with its own traffic.
+  virtual void advance_to(double t_ms);
+
+  /// Earliest link-clock instant at which held traffic becomes deliverable
+  /// with no further sends (a delayed datagram). nullopt when the link
+  /// holds nothing for time.
+  [[nodiscard]] virtual std::optional<double> next_release_ms();
 };
 
 /// The ideal in-memory link: instant delivery, per-destination FIFO
@@ -106,44 +117,28 @@ class IdealLinkTransport final : public Transport {
   Stats stats_;
 };
 
-/// One transport endpoint for the shared pump: an address plus the handler
-/// that consumes an inbound message and may produce a reply (sent back to
-/// the datagram's source).
-struct Endpoint {
-  cert::DeviceId id;
-  std::function<Result<std::optional<Message>>(const cert::DeviceId& from, const Message&)>
-      handler;
-};
+/// Upper bound on one two-party exchange. No protocol here exceeds 8
+/// messages; the bound stops two state machines ping-ponging forever.
+inline constexpr std::size_t kMaxExchange = 16;
 
-/// What one pump_endpoints() run did. Per-datagram failures are isolated:
-/// a handler rejecting one malformed message (or one reply failing to
-/// send) is counted here and the loop keeps draining every other endpoint
-/// — one poisoned datagram from one peer must not starve the fabric.
-struct PumpStats {
-  std::size_t delivered = 0;       // datagrams handed to handlers
-  std::size_t handler_errors = 0;  // handler rejections (datagram consumed, loop continued)
-  std::size_t send_errors = 0;     // reply send failures (loop continued)
-  /// First handler/send failure, for callers that treat any casualty as
-  /// fatal (the two-party driver does: its handshake cannot survive one).
-  Error first_error = Error::kOk;
-
-  [[nodiscard]] bool clean() const { return handler_errors == 0 && send_errors == 0; }
-};
-
-/// THE message loop — drains `transport`, dispatching every datagram to its
-/// endpoint's handler and sending replies back through the transport, until
-/// the link is idle. Replaces the hand-rolled shuttling loops that used to
-/// live in core/driver, SessionBroker::pump, the benches and the examples.
-///
-/// Per-datagram handler/send failures do NOT abort the loop — they are
-/// counted in the returned PumpStats (see above) and draining continues, so
-/// one corrupted datagram cannot stall healthy peers. The error return is
-/// reserved for transport misuse: kBadState when `max_messages` datagrams
-/// have been delivered and traffic is still queued (a protocol state
-/// machine ping-ponging forever). The budget is checked BEFORE receiving,
-/// so no datagram is ever consumed and then silently dropped at the
-/// boundary — whatever the budget refuses stays queued in the transport.
-Result<PumpStats> pump_endpoints(Transport& transport, const std::vector<Endpoint>& endpoints,
-                                 std::size_t max_messages = 100000);
+/// Runs one two-party exchange: `first` goes to the second party, then each
+/// reply goes straight back to the other side until one side has nothing
+/// to say. `deliver(to_second, message)` hands `message` to that party and
+/// returns its reply. Returns the number of messages delivered, the first
+/// rejection, or kBadState when a reply is still owed after kMaxExchange
+/// deliveries.
+template <typename Deliver>
+Result<std::size_t> alternate(Message first, Deliver&& deliver) {
+  std::optional<Message> next = std::move(first);
+  std::size_t delivered = 0;
+  for (bool to_second = true; next.has_value(); to_second = !to_second) {
+    if (delivered == kMaxExchange) return Error::kBadState;
+    ++delivered;
+    Result<std::optional<Message>> reply = deliver(to_second, *next);
+    if (!reply.ok()) return reply.error();
+    next = std::move(reply).value();
+  }
+  return delivered;
+}
 
 }  // namespace ecqv::proto

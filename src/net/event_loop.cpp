@@ -8,6 +8,10 @@
 
 namespace ecqv::net {
 
+// Ceiling on one epoll_wait block in BrokerDriver::step, so a caller's step()
+// loop re-checks its exit condition even with no traffic and no armed timers.
+constexpr int kMaxWaitMs = 20;
+
 EventLoop::EventLoop() : epoll_(::epoll_create1(0)) {}
 
 Status EventLoop::watch(int fd, bool want_write) {
@@ -54,11 +58,7 @@ Result<std::vector<EventLoop::Event>> EventLoop::wait(int timeout_ms) {
 }
 
 BrokerDriver::BrokerDriver(proto::ConcurrentSessionBroker& broker, FdTransport& transport)
-    : BrokerDriver(broker, transport, Config()) {}
-
-BrokerDriver::BrokerDriver(proto::ConcurrentSessionBroker& broker, FdTransport& transport,
-                           Config config)
-    : broker_(broker), transport_(transport), config_(config) {}
+    : broker_(broker), transport_(transport) {}
 
 Result<std::size_t> BrokerDriver::step(std::uint64_t now) {
   // Declare the current fd set every cycle: TCP transports accept and
@@ -71,11 +71,10 @@ Result<std::size_t> BrokerDriver::step(std::uint64_t now) {
   }
   // Sleep until traffic or the broker's next retransmission deadline —
   // the TimerQueue's head, read in the transport's (wall) clock.
-  int timeout_ms = config_.max_wait_ms;
+  int timeout_ms = kMaxWaitMs;
   if (const auto due = broker_.broker().next_retransmit_due_ms(); due.has_value()) {
     const double wait = *due - transport_.now_ms();
-    timeout_ms = std::clamp(static_cast<int>(std::ceil(std::max(wait, 0.0))), 0,
-                            config_.max_wait_ms);
+    timeout_ms = std::clamp(static_cast<int>(std::ceil(std::max(wait, 0.0))), 0, kMaxWaitMs);
   }
   auto events = loop_.wait(timeout_ms);
   if (!events.ok()) return events.error();
@@ -97,17 +96,6 @@ Result<std::size_t> BrokerDriver::step(std::uint64_t now) {
     for (const int fd : stale) loop_.unwatch(fd);
   }
   return dispatched;
-}
-
-Status BrokerDriver::run_until(const std::function<bool()>& done, std::uint64_t now,
-                               int timeout_ms) {
-  const double deadline = FdTransport::steady_now_ms() + timeout_ms;
-  while (!done()) {
-    if (FdTransport::steady_now_ms() > deadline) return Error::kBadState;
-    const auto stepped = step(now);
-    if (!stepped.ok()) return stepped.error();
-  }
-  return {};
 }
 
 }  // namespace ecqv::net

@@ -9,7 +9,6 @@
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 namespace ecqv::net {
@@ -19,16 +18,15 @@ namespace {
 constexpr std::uint64_t kNow = 1700000000;
 constexpr std::uint64_t kLifetime = 7 * 86400;
 
-/// One wave client: a lightweight SessionBroker plus its drive state. The
-/// broker dies with the wave; only the server-side session survives it.
-/// The credentials live here because SessionBroker holds them by
-/// reference for its whole lifetime (declared before `broker` so they
-/// outlive it on destruction too).
+/// One wave client: an inline endpoint on the shared client socket plus
+/// its drive state. The endpoint dies with the wave; only the server-side
+/// session survives it. The credentials and RNG live here because the
+/// broker holds them by reference for its whole lifetime (declared before
+/// `broker` so they outlive it on destruction too).
 struct Client {
   std::unique_ptr<proto::Credentials> creds;
   std::unique_ptr<rng::TestRng> rng;
-  std::unique_ptr<rng::LockedRng> locked;
-  std::unique_ptr<proto::SessionBroker> broker;
+  std::unique_ptr<proto::ConcurrentSessionBroker> broker;
   std::size_t records_sent = 0;
   bool done = false;
 };
@@ -92,10 +90,10 @@ Result<SoakReport> run_loopback_soak(const SoakConfig& config) {
     client_transport = std::move(opened).value();
   }
 
-  proto::BrokerConfig client_config;
-  client_config.store.capacity = 4;
-  client_config.store.policy = policy;
-  client_config.reliability.enabled = true;
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.capacity = 4;
+  client_config.broker.store.policy = policy;
+  client_config.broker.reliability.enabled = true;
 
   const double start_ms = FdTransport::steady_now_ms();
   const double deadline_ms = start_ms + config.timeout_ms;
@@ -114,16 +112,10 @@ Result<SoakReport> run_loopback_soak(const SoakConfig& config) {
       client.creds = std::make_unique<proto::Credentials>(
           proto::provision_device(ca, id, kNow, kLifetime, client_provision_rng));
       client.rng = std::make_unique<rng::TestRng>(config.seed + 100 + provisioned + i);
-      client.locked = std::make_unique<rng::LockedRng>(*client.rng);
-      client.broker = std::make_unique<proto::SessionBroker>(*client.creds, *client.locked,
-                                                             client_config);
-      client.broker->bind_clock(client_transport.get());
-      client_transport->attach(id);
+      client.broker = std::make_unique<proto::ConcurrentSessionBroker>(
+          *client.creds, *client.rng, *client_transport, client_config);
       if (client_udp != nullptr) client_udp->add_route(server_creds.id, server_port);
-      auto first = client.broker->connect(server_creds.id, kNow);
-      if (!first.ok()) return first.error();
-      const Status sent =
-          client_transport->send(id, server_creds.id, std::move(first).value());
+      const Status sent = client.broker->connect(server_creds.id, kNow);
       if (!sent.ok()) return sent.error();
     }
 
@@ -139,25 +131,15 @@ Result<SoakReport> run_loopback_soak(const SoakConfig& config) {
       client_transport->service();
       for (Client& client : wave) {
         if (client.done) continue;
-        proto::SessionBroker& broker = *client.broker;
-        for (proto::SessionBroker::Outbound& out :
-             broker.poll_retransmits(client_transport->now_ms(), kNow))
-          (void)client_transport->send(broker.id(), out.peer, std::move(out.message));
-        while (auto datagram = client_transport->receive(broker.id())) {
-          auto reply = broker.on_message(datagram->src, datagram->message, kNow);
-          if (reply.ok() && reply->has_value())
-            (void)client_transport->send(broker.id(), datagram->src, **reply);
-        }
+        client.broker->poll(kNow);
         if (client.records_sent < config.records_per_session &&
-            broker.session_ready(server_creds.id, kNow)) {
+            client.broker->broker().session_ready(server_creds.id, kNow)) {
           // Burst the records; DataRekey::kAuto piggybacks the epoch
           // ratchet exactly when the seal spends the record budget, so a
           // burst longer than the budget rekeys mid-stream on the wire.
           while (client.records_sent < config.records_per_session) {
-            auto record = broker.make_data(server_creds.id, telemetry, kNow);
-            if (!record.ok()) return record.error();
-            (void)client_transport->send(broker.id(), server_creds.id,
-                                         std::move(record).value());
+            const Status sent = client.broker->send_data(server_creds.id, telemetry, kNow);
+            if (!sent.ok()) return sent.error();
             ++client.records_sent;
           }
           client.done = true;
@@ -171,13 +153,11 @@ Result<SoakReport> run_loopback_soak(const SoakConfig& config) {
 
   // Let the tail of in-flight records land.
   const std::size_t expect_records = config.sessions * config.records_per_session;
-  const Status settled = driver.run_until(
-      [&] {
-        return static_cast<std::size_t>(
-                   server.broker().stats().records_delivered.load()) >= expect_records;
-      },
-      kNow, static_cast<int>(deadline_ms - FdTransport::steady_now_ms()));
-  if (!settled.ok()) return settled.error();
+  while (server.broker().stats().records_delivered.load() < expect_records) {
+    if (FdTransport::steady_now_ms() > deadline_ms) return Error::kBadState;
+    const auto stepped = driver.step(kNow);
+    if (!stepped.ok()) return stepped.error();
+  }
   records_opened = records_counter.load();
 
   SoakReport report;

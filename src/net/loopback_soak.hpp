@@ -4,10 +4,12 @@
 // loopback stack and exercised with sealed records (piggyback-rekeyed
 // mid-stream when the policy's record budget is spent).
 //
+// The server is a ConcurrentSessionBroker stepped by net::BrokerDriver;
+// each client is an inline one (workers = 0) on one shared client socket.
 // Clients are admitted in waves: each wave provisions fresh devices, runs
 // its handshakes and telemetry bursts concurrently, then retires its
-// client-side brokers — the SERVER keeps every negotiated session, which
-// is the point: 100k concurrent sessions are 100k store entries behind one
+// client endpoints — the SERVER keeps every negotiated session, which is
+// the point: 100k concurrent sessions are 100k store entries behind one
 // socket, not 100k live client objects. Waves bound client memory and the
 // UDP socket buffers at the same time.
 //

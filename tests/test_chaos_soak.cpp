@@ -97,7 +97,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
     const std::size_t end = std::min(base + kWave, kPeers);
     for (std::size_t i = base; i < end; ++i)
       ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
-    settle_lossy(endpoints, link, kNow);
+    settle(endpoints, kNow);
   }
 
   // Even a generous budget can run dry on pure bad luck; a real node
@@ -113,7 +113,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
       ++reconnects;
       ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
     }
-    settle_lossy(endpoints, link, kNow);
+    settle(endpoints, kNow);
   }
 
   // 100% eventual establishment — the headline robustness claim.
@@ -164,7 +164,7 @@ TEST(ChaosSoak, ThousandPeersThroughTwentyPercentLoss) {
   link.set_fault_probabilities(0, 0, 0, 0, 0);
   for (std::size_t i = 0; i < kPeers; ++i)
     ASSERT_TRUE(clients[i]->send_data(fleet.devices[0].id, bytes_of("chaos"), kNow).ok()) << i;
-  settle_lossy(endpoints, link, kNow);
+  settle(endpoints, kNow);
   EXPECT_EQ(records.load(), kPeers);
   EXPECT_EQ(server.broker().stats().records_delivered, kPeers);
 }
@@ -199,7 +199,7 @@ TEST(ChaosSoak, FleetOverCanFdWithFrameLevelLoss) {
 
   for (std::size_t i = 0; i < kPeers; ++i)
     ASSERT_TRUE(clients[i]->connect(fleet.devices[0].id, kNow).ok()) << i;
-  settle_lossy(endpoints, link, kNow);
+  settle(endpoints, kNow);
 
   for (std::size_t i = 0; i < kPeers; ++i) {
     EXPECT_TRUE(clients[i]->broker().session_ready(fleet.devices[0].id, kNow)) << i;

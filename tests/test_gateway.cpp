@@ -13,7 +13,6 @@
 #include "net/event_loop.hpp"
 #include "net/gateway.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 namespace ecqv {
@@ -56,21 +55,16 @@ TEST(FleetGateway, BridgesCanFdHandshakesOntoUdpBackhaul) {
   // The gateway claims the backend's address on the bus.
   net::FleetGateway gateway(bus, **gateway_socket, {backend_creds.id});
 
-  // ECUs live purely on the bus; they never see a socket.
-  proto::BrokerConfig ecu_config;
-  ecu_config.store.policy = proto::RekeyPolicy::unlimited();
+  // ECUs live purely on the bus, as inline endpoints; they never see a socket.
+  proto::ConcurrentSessionBroker::Config ecu_config;
+  ecu_config.broker.store.policy = proto::RekeyPolicy::unlimited();
   std::vector<std::unique_ptr<rng::TestRng>> rngs;
-  std::vector<std::unique_ptr<rng::LockedRng>> locked;
-  std::vector<std::unique_ptr<proto::SessionBroker>> ecus;
+  std::vector<std::unique_ptr<proto::ConcurrentSessionBroker>> ecus;
   for (int i = 0; i < 2; ++i) {
     rngs.push_back(std::make_unique<rng::TestRng>(30 + i));
-    locked.push_back(std::make_unique<rng::LockedRng>(*rngs.back()));
-    ecus.push_back(
-        std::make_unique<proto::SessionBroker>(ecu_creds[i], *locked.back(), ecu_config));
-    bus.attach(ecus.back()->id());
-    auto first = ecus.back()->connect(backend_creds.id, kNow);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(bus.send(ecus.back()->id(), backend_creds.id, std::move(*first)).ok());
+    ecus.push_back(std::make_unique<proto::ConcurrentSessionBroker>(ecu_creds[i],
+                                                                    *rngs.back(), bus, ecu_config));
+    ASSERT_TRUE(ecus.back()->connect(backend_creds.id, kNow).ok());
   }
 
   std::vector<bool> sent(ecus.size(), false);
@@ -82,16 +76,10 @@ TEST(FleetGateway, BridgesCanFdHandshakesOntoUdpBackhaul) {
     (*gateway_socket)->service();
     gateway.pump();
     for (std::size_t i = 0; i < ecus.size(); ++i) {
-      proto::SessionBroker& ecu = *ecus[i];
-      while (auto datagram = bus.receive(ecu.id())) {
-        auto reply = ecu.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)bus.send(ecu.id(), datagram->src, **reply);
-      }
-      if (!sent[i] && ecu.session_ready(backend_creds.id, kNow)) {
-        auto record = ecu.make_data(backend_creds.id, bytes_of("bridged-telemetry"), kNow);
-        ASSERT_TRUE(record.ok());
-        ASSERT_TRUE(bus.send(ecu.id(), backend_creds.id, std::move(*record)).ok());
+      proto::ConcurrentSessionBroker& ecu = *ecus[i];
+      ecu.poll(kNow);
+      if (!sent[i] && ecu.broker().session_ready(backend_creds.id, kNow)) {
+        ASSERT_TRUE(ecu.send_data(backend_creds.id, bytes_of("bridged-telemetry"), kNow).ok());
         sent[i] = true;
       }
     }

@@ -15,7 +15,6 @@
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/udp_transport.hpp"
-#include "rng/locked_rng.hpp"
 #include "rng/test_rng.hpp"
 
 namespace ecqv {
@@ -289,24 +288,16 @@ void run_broker_exchange(net::FdTransport& server_transport,
                                         server_config);
   net::BrokerDriver driver(server, server_transport);
 
-  proto::BrokerConfig client_config;
-  client_config.store.policy = proto::RekeyPolicy::unlimited();
-  client_config.reliability.enabled = true;
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
+  client_config.broker.reliability.enabled = true;
   std::vector<std::unique_ptr<rng::TestRng>> rngs;
-  std::vector<std::unique_ptr<rng::LockedRng>> locked;
-  std::vector<std::unique_ptr<proto::SessionBroker>> fleet;
+  std::vector<std::unique_ptr<proto::ConcurrentSessionBroker>> fleet;
   for (std::size_t i = 1; i <= clients; ++i) {
     rngs.push_back(std::make_unique<rng::TestRng>(200 + i));
-    locked.push_back(std::make_unique<rng::LockedRng>(*rngs.back()));
-    fleet.push_back(std::make_unique<proto::SessionBroker>(world.devices[i], *locked.back(),
-                                                           client_config));
-    fleet.back()->bind_clock(&client_transport);
-    client_transport.attach(fleet.back()->id());
-    auto first = fleet.back()->connect(world.devices[0].id, kNow);
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(
-        client_transport.send(fleet.back()->id(), world.devices[0].id, std::move(*first))
-            .ok());
+    fleet.push_back(std::make_unique<proto::ConcurrentSessionBroker>(
+        world.devices[i], *rngs.back(), client_transport, client_config));
+    ASSERT_TRUE(fleet.back()->connect(world.devices[0].id, kNow).ok());
   }
 
   std::vector<bool> sent(fleet.size(), false);
@@ -317,21 +308,10 @@ void run_broker_exchange(net::FdTransport& server_transport,
     ASSERT_TRUE(driver.step(kNow).ok());
     client_transport.service();
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-      proto::SessionBroker& client = *fleet[i];
-      for (proto::SessionBroker::Outbound& out :
-           client.poll_retransmits(client_transport.now_ms(), kNow))
-        (void)client_transport.send(client.id(), out.peer, std::move(out.message));
-      while (auto datagram = client_transport.receive(client.id())) {
-        auto reply = client.on_message(datagram->src, datagram->message, kNow);
-        if (reply.ok() && reply->has_value())
-          (void)client_transport.send(client.id(), datagram->src, **reply);
-      }
-      if (!sent[i] && client.session_ready(world.devices[0].id, kNow)) {
-        auto record = client.make_data(world.devices[0].id, bytes_of("net-telemetry"), kNow);
-        ASSERT_TRUE(record.ok());
-        ASSERT_TRUE(
-            client_transport.send(client.id(), world.devices[0].id, std::move(*record))
-                .ok());
+      proto::ConcurrentSessionBroker& client = *fleet[i];
+      client.poll(kNow);
+      if (!sent[i] && client.broker().session_ready(world.devices[0].id, kNow)) {
+        ASSERT_TRUE(client.send_data(world.devices[0].id, bytes_of("net-telemetry"), kNow).ok());
         sent[i] = true;
         ++records_sent;
       }
@@ -382,47 +362,31 @@ TEST(NetBroker, RetransmissionTimerRecoversRealLoss) {
                                          server_config);
   net::BrokerDriver driver(backend, **server);
 
-  proto::BrokerConfig client_config;
-  client_config.store.policy = proto::RekeyPolicy::unlimited();
-  client_config.reliability.enabled = true;
-  client_config.reliability.rto_ms = 20.0;
+  proto::ConcurrentSessionBroker::Config client_config;
+  client_config.broker.store.policy = proto::RekeyPolicy::unlimited();
+  client_config.broker.reliability.enabled = true;
+  client_config.broker.reliability.rto_ms = 20.0;
   rng::TestRng client_rng(301);
-  rng::LockedRng client_locked(client_rng);
-  proto::SessionBroker ecu(world.devices[1], client_locked, client_config);
-  ecu.bind_clock(client.value().get());
-  (*client)->attach(ecu.id());
+  proto::ConcurrentSessionBroker ecu(world.devices[1], client_rng, **client, client_config);
   (*client)->add_route(world.devices[0].id, hole_port.value());  // wrong on purpose
+  ASSERT_TRUE(ecu.connect(world.devices[0].id, kNow).ok());
 
-  auto first = ecu.connect(world.devices[0].id, kNow);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE((*client)->send(ecu.id(), world.devices[0].id, std::move(*first)).ok());
-
-  // Wait out the RTO on the wall clock; the timer must hand the A1 back.
-  std::vector<proto::SessionBroker::Outbound> resend;
+  // Wait out the RTO on the wall clock; poll() must fire the timer and
+  // re-send the A1 (still into the hole).
   const double deadline = net::FdTransport::steady_now_ms() + 5000.0;
-  while (resend.empty()) {
+  while (ecu.broker().stats().retransmits.load() == 0) {
     ASSERT_LT(net::FdTransport::steady_now_ms(), deadline) << "retransmit never fired";
     ::usleep(5000);
-    resend = ecu.poll_retransmits((*client)->now_ms(), kNow);
+    ecu.poll(kNow);
   }
-  EXPECT_GE(ecu.stats().retransmits.load(), 1u);
 
-  // Heal the route and let the retransmitted A1 through for real.
+  // Heal the route; the next retransmission reaches the real server.
   (*client)->add_route(world.devices[0].id, (*server)->port());
-  for (auto& out : resend)
-    ASSERT_TRUE((*client)->send(ecu.id(), out.peer, std::move(out.message)).ok());
   const double finish = net::FdTransport::steady_now_ms() + 5000.0;
-  while (!ecu.session_ready(world.devices[0].id, kNow)) {
+  while (!ecu.broker().session_ready(world.devices[0].id, kNow)) {
     ASSERT_LT(net::FdTransport::steady_now_ms(), finish) << "handshake never completed";
     ASSERT_TRUE(driver.step(kNow).ok());
-    (*client)->service();
-    for (auto& out : ecu.poll_retransmits((*client)->now_ms(), kNow))
-      (void)(*client)->send(ecu.id(), out.peer, std::move(out.message));
-    while (auto datagram = (*client)->receive(ecu.id())) {
-      auto reply = ecu.on_message(datagram->src, datagram->message, kNow);
-      if (reply.ok() && reply->has_value())
-        (void)(*client)->send(ecu.id(), datagram->src, **reply);
-    }
+    ecu.poll(kNow);
   }
   EXPECT_EQ(backend.broker().stats().handshakes_completed.load(), 1u);
 }

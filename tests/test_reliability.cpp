@@ -4,7 +4,7 @@
 // escalation), dead-peer detection, and the S1 virtual-time pending
 // sweep. Every scenario runs the real fabric: ConcurrentSessionBroker
 // endpoints over a FaultyTransport with a scripted or seeded fault plan,
-// driven by settle_lossy.
+// driven by settle().
 #include <gtest/gtest.h>
 
 #include "core/concurrent_broker.hpp"
@@ -25,7 +25,7 @@ BrokerConfig reliable_config() {
 }
 
 /// Two inline endpoints over one faulty link, clocks bound, ready to
-/// converge through settle_lossy.
+/// converge through settle().
 struct LossyPair {
   testing::World world;
   rng::TestRng rng_a{21}, rng_b{22};
@@ -38,7 +38,7 @@ struct LossyPair {
         alice(world.alice, rng_a, link, {config, /*workers=*/0}),
         bob(world.bob, rng_b, link, {config, /*workers=*/0}) {}
 
-  std::size_t converge() { return settle_lossy({&alice, &bob}, link, kNow); }
+  std::size_t converge() { return settle({&alice, &bob}, kNow); }
 };
 
 TEST(Reliability, LostFirstFlightRecoversByRetransmission) {

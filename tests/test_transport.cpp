@@ -1,11 +1,13 @@
-// Transport layer: ideal-link semantics, the shared pump, and the CAN-FD
-// adapter (Fig. 6 stack end to end — framing, fragmentation, flow control,
+// Transport layer: ideal-link semantics, the two runners (settle() over a
+// transport, alternate() between two parties), and the CAN-FD adapter
+// (Fig. 6 stack end to end — framing, fragmentation, flow control,
 // interleaved multi-peer transfers, loss recovery).
 #include <gtest/gtest.h>
 
 #include "canfd/canfd_transport.hpp"
+#include "core/concurrent_broker.hpp"
+#include "core/driver.hpp"
 #include "core/faulty_transport.hpp"
-#include "core/session_broker.hpp"
 #include "protocol_fixture.hpp"
 
 namespace ecqv::proto {
@@ -56,135 +58,119 @@ TEST(IdealLink, RejectsUnattachedEndpoints) {
   EXPECT_FALSE(link.receive(id_of("ghost")).has_value());
 }
 
-TEST(Pump, DrivesBrokerHandshakeOverExplicitTransport) {
+/// Inline endpoints (workers = 0) with unlimited sessions.
+ConcurrentSessionBroker::Config inline_config(bool reliable = false) {
+  ConcurrentSessionBroker::Config config;
+  config.broker.store.policy = RekeyPolicy::unlimited();
+  config.broker.reliability.enabled = reliable;
+  return config;
+}
+
+TEST(Settle, DrivesBrokerHandshakeOverExplicitTransport) {
   testing::World world;
   rng::TestRng rng_a(1), rng_b(2);
-  BrokerConfig config;
-  config.store.policy = RekeyPolicy::unlimited();
-  SessionBroker alice(world.alice, rng_a, config);
-  SessionBroker bob(world.bob, rng_b, config);
-
   IdealLinkTransport link;
-  link.attach(alice.id());
-  link.attach(bob.id());
-  auto first = alice.connect(bob.id(), kNow);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(link.send(alice.id(), bob.id(), std::move(first).value()).ok());
+  ConcurrentSessionBroker alice(world.alice, rng_a, link, inline_config());
+  ConcurrentSessionBroker bob(world.bob, rng_b, link, inline_config());
 
-  const auto endpoint = [&](SessionBroker& broker) {
-    return Endpoint{broker.id(), [&broker](const cert::DeviceId& from, const Message& m) {
-                      return broker.on_message(from, m, kNow);
-                    }};
-  };
-  auto pumped = pump_endpoints(link, {endpoint(bob), endpoint(alice)});
-  ASSERT_TRUE(pumped.ok());
-  EXPECT_EQ(pumped->delivered, 4u);  // A1 B1 A2 B2
-  EXPECT_TRUE(pumped->clean());
-  EXPECT_TRUE(alice.session_ready(bob.id(), kNow));
-  EXPECT_TRUE(bob.session_ready(alice.id(), kNow));
+  ASSERT_TRUE(alice.connect(bob.id(), kNow).ok());
+  EXPECT_EQ(settle({&bob, &alice}, kNow), 4u);  // A1 B1 A2 B2
+  EXPECT_EQ(alice.stats().errors + bob.stats().errors, 0u);
+  EXPECT_TRUE(alice.broker().session_ready(bob.id(), kNow));
+  EXPECT_TRUE(bob.broker().session_ready(alice.id(), kNow));
 }
 
-TEST(Pump, GuardsAgainstPingPongStorms) {
-  IdealLinkTransport link;
-  link.attach(id_of("a"));
-  link.attach(id_of("b"));
-  ASSERT_TRUE(link.send(id_of("a"), id_of("b"), text_message("A1", "ping")).ok());
-  // Both endpoints echo forever; the guard must abort.
-  const auto echo = [](const cert::DeviceId& id) {
-    return Endpoint{id, [](const cert::DeviceId&, const Message& m) {
-                      return Result<std::optional<Message>>(std::optional<Message>(m));
-                    }};
-  };
-  auto pumped = pump_endpoints(link, {echo(id_of("a")), echo(id_of("b"))}, /*max_messages=*/64);
-  EXPECT_EQ(pumped.error(), Error::kBadState);
+/// A party that answers every message with the message itself.
+class EchoParty final : public Party {
+ public:
+  std::optional<Message> start() override { return text_message("A1", "ping"); }
+  Result<std::optional<Message>> on_message(const Message& incoming) override {
+    return std::optional<Message>(incoming);
+  }
+  [[nodiscard]] bool established() const override { return false; }
+  [[nodiscard]] const kdf::SessionKeys& session_keys() const override { return keys_; }
+  [[nodiscard]] const cert::DeviceId& peer_id() const override { return peer_; }
+
+ private:
+  kdf::SessionKeys keys_{};
+  cert::DeviceId peer_{};
+};
+
+TEST(Alternate, GuardsAgainstPingPongStorms) {
+  // Both parties echo forever; the bound must stop the exchange with the
+  // transcript at exactly kMaxExchange messages.
+  EchoParty a, b;
+  const HandshakeResult result = run_handshake(a, b);
+  EXPECT_FALSE(result.success);
+  EXPECT_EQ(result.error, Error::kBadState);
+  EXPECT_EQ(result.transcript.size(), kMaxExchange);
 }
 
-TEST(Pump, OneCorruptPeerCannotStarveTheFabric) {
-  // Regression: the pump used to return on the FIRST handler error,
-  // abandoning every other endpoint's queued datagrams mid-drain. Script
-  // the fault exactly — carol's A1 (the second send() on the link) gets
-  // one payload bit flipped — and the healthy handshake must still finish.
+TEST(Settle, OneCorruptPeerCannotStarveTheFabric) {
+  // One poisoned datagram must not stall healthy peers. Script the fault
+  // exactly — carol's A1 (the second send() on the link) gets one payload
+  // bit flipped — and the healthy handshake must still finish.
   testing::World world;
   rng::TestRng rng_bob(1), rng_alice(2), rng_carol(3);
   rng::TestRng provision(4);
   const Credentials carol_creds = provision_device(
       world.ca, id_of("carol"), kNow, testing::kLifetime, provision);
-  BrokerConfig config;
-  config.store.policy = RekeyPolicy::unlimited();
-  SessionBroker bob(world.bob, rng_bob, config);
-  SessionBroker alice(world.alice, rng_alice, config);
-  SessionBroker carol(carol_creds, rng_carol, config);
 
   IdealLinkTransport inner;
   FaultyTransport::Config faults;
   faults.plan[1] = FaultyTransport::Fault::kCorrupt;  // carol's A1, exactly
   FaultyTransport link(inner, faults);
-  link.attach(bob.id());
-  link.attach(alice.id());
-  link.attach(carol.id());
+  ConcurrentSessionBroker bob(world.bob, rng_bob, link, inline_config());
+  ConcurrentSessionBroker alice(world.alice, rng_alice, link, inline_config());
+  ConcurrentSessionBroker carol(carol_creds, rng_carol, link, inline_config());
 
-  auto alice_first = alice.connect(bob.id(), kNow);
-  ASSERT_TRUE(alice_first.ok());
-  ASSERT_TRUE(link.send(alice.id(), bob.id(), std::move(alice_first).value()).ok());
-  auto carol_first = carol.connect(bob.id(), kNow);
-  ASSERT_TRUE(carol_first.ok());
-  ASSERT_TRUE(link.send(carol.id(), bob.id(), std::move(carol_first).value()).ok());
-
-  const auto endpoint = [&](SessionBroker& broker) {
-    return Endpoint{broker.id(), [&broker](const cert::DeviceId& from, const Message& m) {
-                      return broker.on_message(from, m, kNow);
-                    }};
-  };
-  auto pumped = pump_endpoints(link, {endpoint(bob), endpoint(alice), endpoint(carol)});
-  ASSERT_TRUE(pumped.ok());
+  ASSERT_TRUE(alice.connect(bob.id(), kNow).ok());
+  ASSERT_TRUE(carol.connect(bob.id(), kNow).ok());
+  settle({&bob, &alice, &carol}, kNow);
   EXPECT_EQ(link.stats().corrupted.load(), 1u);
   // The casualty is counted, not fatal...
-  EXPECT_EQ(pumped->handler_errors, 1u);
-  EXPECT_FALSE(pumped->clean());
-  EXPECT_NE(pumped->first_error, Error::kOk);
+  EXPECT_EQ(bob.stats().errors.load(), 1u);
   // ...and the healthy peer's handshake completed through the same drain.
-  EXPECT_TRUE(alice.session_ready(bob.id(), kNow));
-  EXPECT_TRUE(bob.session_ready(alice.id(), kNow));
-  EXPECT_FALSE(carol.session_ready(bob.id(), kNow));
+  EXPECT_TRUE(alice.broker().session_ready(bob.id(), kNow));
+  EXPECT_TRUE(bob.broker().session_ready(alice.id(), kNow));
+  EXPECT_FALSE(carol.broker().session_ready(bob.id(), kNow));
 }
 
-TEST(Pump, BudgetIsCheckedBeforeConsumingADatagram) {
-  // Regression: the budget used to be enforced AFTER receive(), so the
-  // boundary datagram was consumed and silently dropped. Now the refusal
-  // happens first: whatever the budget turns away stays queued.
-  IdealLinkTransport link;
-  link.attach(id_of("src"));
-  link.attach(id_of("sink"));
-  ASSERT_TRUE(link.send(id_of("src"), id_of("sink"), text_message("DT1", "one")).ok());
-  ASSERT_TRUE(link.send(id_of("src"), id_of("sink"), text_message("DT1", "two")).ok());
-  ASSERT_TRUE(link.send(id_of("src"), id_of("sink"), text_message("DT1", "three")).ok());
-  const Endpoint sink{id_of("sink"), [](const cert::DeviceId&, const Message&) {
-                        return Result<std::optional<Message>>(std::optional<Message>{});
-                      }};
+TEST(Settle, AdvancesTheClockToADelayedDatagram) {
+  // With reliability off nothing is armed, yet a delay-faulted A1 is still
+  // owed: settle must move the link's clock to its release.
+  testing::World world;
+  rng::TestRng rng_a(1), rng_b(2);
+  IdealLinkTransport inner;
+  FaultyTransport::Config faults;
+  faults.plan[0] = FaultyTransport::Fault::kDelay;  // the A1
+  FaultyTransport link(inner, faults);
+  ConcurrentSessionBroker alice(world.alice, rng_a, link, inline_config());
+  ConcurrentSessionBroker bob(world.bob, rng_b, link, inline_config());
 
-  auto pumped = pump_endpoints(link, {sink}, /*max_messages=*/2);
-  EXPECT_EQ(pumped.error(), Error::kBadState);  // budget hit with traffic queued
-  auto survivor = link.receive(id_of("sink"));
-  ASSERT_TRUE(survivor.has_value()) << "boundary datagram was consumed and lost";
-  EXPECT_EQ(survivor->message.payload, bytes_of("three"));
+  ASSERT_TRUE(alice.connect(bob.id(), kNow).ok());
+  EXPECT_EQ(settle({&alice, &bob}, kNow), 4u);
+  EXPECT_EQ(link.stats().delayed.load(), 1u);
+  EXPECT_GE(link.now_ms(), FaultyTransport::Config{}.delay_ms);
+  EXPECT_TRUE(alice.broker().session_ready(bob.id(), kNow));
+  EXPECT_TRUE(bob.broker().session_ready(alice.id(), kNow));
 }
 
-TEST(Pump, ExactBudgetDrainsCleanly) {
-  // Spending the budget to the last datagram with nothing left over is
-  // success, not misuse.
+TEST(Settle, StopsWhereTheLinkClockCannotReachATimer) {
+  // The ideal link's clock is pinned at 0, so an armed retransmission can
+  // never come due: with the peer never polled, settle returns at once
+  // instead of spinning, and the A1 timer stays armed and unfired.
+  testing::World world;
+  rng::TestRng rng_a(1), rng_b(2);
   IdealLinkTransport link;
-  link.attach(id_of("src"));
-  link.attach(id_of("sink"));
-  ASSERT_TRUE(link.send(id_of("src"), id_of("sink"), text_message("DT1", "one")).ok());
-  ASSERT_TRUE(link.send(id_of("src"), id_of("sink"), text_message("DT1", "two")).ok());
-  const Endpoint sink{id_of("sink"), [](const cert::DeviceId&, const Message&) {
-                        return Result<std::optional<Message>>(std::optional<Message>{});
-                      }};
-  auto pumped = pump_endpoints(link, {sink}, /*max_messages=*/2);
-  ASSERT_TRUE(pumped.ok());
-  EXPECT_EQ(pumped->delivered, 2u);
-  EXPECT_TRUE(pumped->clean());
-  EXPECT_TRUE(link.idle());
+  ConcurrentSessionBroker alice(world.alice, rng_a, link, inline_config(/*reliable=*/true));
+  ConcurrentSessionBroker bob(world.bob, rng_b, link, inline_config(/*reliable=*/true));
+
+  ASSERT_TRUE(alice.connect(bob.id(), kNow).ok());
+  EXPECT_EQ(settle({&alice}, kNow), 0u);
+  EXPECT_TRUE(alice.broker().next_retransmit_due_ms().has_value());
+  EXPECT_EQ(alice.broker().stats().retransmits.load(), 0u);
+  EXPECT_EQ(link.now_ms(), 0.0);
 }
 
 // ---------------------------------------------------------------- CAN-FD
@@ -347,46 +333,29 @@ TEST(CanFdTransport, LostConsecutiveFrameAbortsOnlyThatTransfer) {
 }
 
 TEST(CanFdTransport, BrokerHandshakeOverTheBus) {
-  // The full tentpole path: two SessionBrokers talking STS through
-  // session-layer PDUs, ISO-TP and the simulated bus — then sealing
-  // telemetry as DT1 records over the same link.
+  // The full tentpole path: two brokers talking STS through session-layer
+  // PDUs, ISO-TP and the simulated bus — then sealing telemetry as a DT1
+  // record over the same link.
   testing::World world;
   rng::TestRng rng_a(7), rng_b(8);
-  BrokerConfig config;
-  config.store.policy = RekeyPolicy::unlimited();
   Bytes bob_got;
-  BrokerConfig bob_config = config;
-  bob_config.on_data = [&](const cert::DeviceId&, Bytes plaintext) {
+  ConcurrentSessionBroker::Config bob_config = inline_config();
+  bob_config.broker.on_data = [&](const cert::DeviceId&, Bytes plaintext) {
     bob_got = std::move(plaintext);
   };
-  SessionBroker alice(world.alice, rng_a, config);
-  SessionBroker bob(world.bob, rng_b, bob_config);
-
   can::CanFdTransport canfd;
-  canfd.attach(alice.id());
-  canfd.attach(bob.id());
-  auto first = alice.connect(bob.id(), kNow);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(canfd.send(alice.id(), bob.id(), std::move(first).value()).ok());
-  const auto endpoint = [&](SessionBroker& broker) {
-    return Endpoint{broker.id(), [&broker](const cert::DeviceId& from, const Message& m) {
-                      return broker.on_message(from, m, kNow);
-                    }};
-  };
-  auto pumped = pump_endpoints(canfd, {endpoint(bob), endpoint(alice)});
-  ASSERT_TRUE(pumped.ok());
-  EXPECT_EQ(pumped->delivered, 4u);
-  EXPECT_TRUE(alice.session_ready(bob.id(), kNow));
-  EXPECT_TRUE(bob.session_ready(alice.id(), kNow));
+  ConcurrentSessionBroker alice(world.alice, rng_a, canfd, inline_config());
+  ConcurrentSessionBroker bob(world.bob, rng_b, canfd, bob_config);
+
+  ASSERT_TRUE(alice.connect(bob.id(), kNow).ok());
+  EXPECT_EQ(settle({&bob, &alice}, kNow), 4u);
+  EXPECT_TRUE(alice.broker().session_ready(bob.id(), kNow));
+  EXPECT_TRUE(bob.broker().session_ready(alice.id(), kNow));
   EXPECT_GT(canfd.stats().flow_controls, 0u);  // B1/A2 fragment
   EXPECT_GT(canfd.bus_time_ms(), 0.0);
 
-  auto record = alice.make_data(bob.id(), bytes_of("soc=81%"), kNow);
-  ASSERT_TRUE(record.ok());
-  ASSERT_TRUE(canfd.send(alice.id(), bob.id(), std::move(record).value()).ok());
-  auto delivered = canfd.receive(id_of("bob"));
-  ASSERT_TRUE(delivered.has_value());
-  ASSERT_TRUE(bob.on_message(alice.id(), delivered->message, kNow).ok());
+  ASSERT_TRUE(alice.send_data(bob.id(), bytes_of("soc=81%"), kNow).ok());
+  EXPECT_EQ(settle({&bob, &alice}, kNow), 1u);
   EXPECT_EQ(bob_got, bytes_of("soc=81%"));
 }
 
