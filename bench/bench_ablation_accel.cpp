@@ -66,24 +66,7 @@ int main() {
   }
   opts.print();
 
-  bench::section("Ablation 3: STS response authentication mode (library extension)");
-  std::printf("Algorithm 1 encrypts the signature under KS (paper); STS-MAC appends an\n"
-              "HMAC instead — no pre-handshake use of the encryption key, +32 B/resp.\n\n");
-  bench::Table modes({"Auth mode", "wire total (B)", "B1/A2 resp (B)",
-                      "S32K144 model (ms)"});
-  {
-    const sim::RunRecord enc = sim::record_run(proto::ProtocolKind::kSts);
-    modes.add_row({"encrypted signature (paper)",
-                   std::to_string(proto::transcript_bytes(enc.transcript)), "64",
-                   bench::fmt(sim::sequential_total_ms(enc, fits[1].model, fits[1].model), 1)});
-    // The MAC variant trades 4 AES blocks for 1 HMAC per response — the
-    // model difference is in the noise; wire size is the visible cost.
-    modes.add_row({"signature + MAC (STS-MAC)", "555", "96",
-                   bench::fmt(sim::sequential_total_ms(enc, fits[1].model, fits[1].model), 1)});
-  }
-  modes.print();
-
-  bench::section("Ablation 4: asymmetric device pairings (gateway + node)");
+  bench::section("Ablation 3: asymmetric device pairings (gateway + node)");
   std::printf("Opt. I/II overlap hides the *faster* device's work; pairing a RPi4\n"
               "gateway with an S32K144 node shows eq. (6)'s asymmetric term.\n\n");
   bench::Table pairs({"Initiator", "Responder", "baseline (ms)", "opt. I (ms)", "opt. II (ms)"});

@@ -65,7 +65,7 @@ int main() {
   // --- rotation: new certificate session ------------------------------------
   for (auto& node : fleet) {
     node = proto::provision_device(ca, node.id, now, kDay, rng);
-    node.invalidate_caches();  // static-secret/pubkey caches die with the certs
+    node.invalidate_caches();  // the peer public-key cache dies with the certs
   }
   std::printf("rotated all certificates (serials now up to %llu)\n",
               static_cast<unsigned long long>(ca.issued_count() - 1));

@@ -1,7 +1,10 @@
 // AES-CMAC (RFC 4493 / SP 800-38B).
 //
-// Used by the SCIANC/PORAMB comparison protocols for symmetric
-// authentication tags (paper §V-A: "128-bits for the AES and CMAC").
+// Paper §V-A sizes the comparison protocols' symmetric primitives as
+// "128-bits for the AES and CMAC". The SCIANC and PORAMB implementations
+// here authenticate with HMAC-SHA256 instead (core/scianc.cpp,
+// core/poramb.cpp); only the primitive benchmark and tests/test_cmac.cpp
+// call this.
 #pragma once
 
 #include "aes/aes128.hpp"

@@ -40,26 +40,6 @@ Result<Bytes> cbc_decrypt_raw(const Aes128& cipher, const Iv& iv, ByteView ciphe
   return out;
 }
 
-Bytes cbc_encrypt(const Aes128& cipher, const Iv& iv, ByteView plaintext) {
-  const std::size_t pad = kBlockSize - (plaintext.size() % kBlockSize);
-  Bytes padded(plaintext.begin(), plaintext.end());
-  padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
-  return cbc_encrypt_raw(cipher, iv, padded);
-}
-
-Result<Bytes> cbc_decrypt(const Aes128& cipher, const Iv& iv, ByteView ciphertext) {
-  auto raw = cbc_decrypt_raw(cipher, iv, ciphertext);
-  if (!raw) return raw.error();
-  Bytes& pt = raw.value();
-  // Constant-time PKCS#7 check: the whole final block is scanned whatever
-  // the claimed pad value says — a padding oracle cannot localize the first
-  // bad byte through timing (the plaintext is secret-derived data here).
-  const std::size_t pad = ct_pkcs7_pad_len(pt, kBlockSize);
-  if (pad == 0) return Error::kDecodeFailed;
-  pt.resize(pt.size() - pad);
-  return pt;
-}
-
 namespace {
 
 /// Big-endian increment across the full counter block.

@@ -1,6 +1,6 @@
-// AES-128 block cipher modes (SP 800-38A): CBC with PKCS#7 padding, CBC
-// without padding (block-aligned payloads such as the 64-byte STS auth
-// responses), and CTR.
+// AES-128 block cipher modes (SP 800-38A): CBC without padding over
+// block-aligned payloads (S-ECDSA's finished messages) and CTR (the STS
+// authentication responses).
 #pragma once
 
 #include "aes/aes128.hpp"
@@ -8,16 +8,8 @@
 
 namespace ecqv::aes {
 
-/// CBC encrypt with PKCS#7 padding; output is a multiple of 16 bytes and
-/// always at least one block longer than... exactly: pt.size() rounded up to
-/// the next block boundary (a full padding block when already aligned).
-Bytes cbc_encrypt(const Aes128& cipher, const Iv& iv, ByteView plaintext);
-
-/// CBC decrypt + PKCS#7 unpad. Fails on bad length or malformed padding.
-Result<Bytes> cbc_decrypt(const Aes128& cipher, const Iv& iv, ByteView ciphertext);
-
 /// Raw CBC over block-aligned data (no padding). Used where the wire format
-/// fixes the ciphertext length (e.g. 64-byte STS responses, Table II).
+/// fixes the ciphertext length (S-ECDSA's finished messages).
 Bytes cbc_encrypt_raw(const Aes128& cipher, const Iv& iv, ByteView plaintext);
 Result<Bytes> cbc_decrypt_raw(const Aes128& cipher, const Iv& iv, ByteView ciphertext);
 

@@ -11,6 +11,13 @@ namespace {
 /// Fabric payload header: src id || dst id ahead of the AppPdu.
 constexpr std::size_t kFabricHeaderSize = 2 * cert::kDeviceIdSize;
 
+/// Sender-side N_Bs: how long (simulated ms) a sender waits for the Flow
+/// Control after a First Frame before abandoning the transfer. Charged to
+/// the sender's node clock when the loss model kills the FC (or the FF
+/// itself), so lossy timelines stall realistically. ISO 15765-2 allows up
+/// to 1000 ms; embedded stacks typically run much tighter budgets.
+constexpr double kFcTimeoutMs = 100.0;
+
 }  // namespace
 
 CanFdTransport::CanFdTransport(Config config)
@@ -157,12 +164,12 @@ void CanFdTransport::flush() {
   // clock — and therefore its next injection — moves out by the timeout.
   for (const CanBus::NodeId node : timed_out_senders) {
     const double t0 = bus_.node_time_ms(node);
-    bus_.advance_node_time(node, config_.fc_timeout_ms);
+    bus_.advance_node_time(node, kFcTimeoutMs);
     if (config_.recorder != nullptr) {
       TimelineEvent e;
       e.kind = TimelineEvent::Kind::kFcTimeout;
       e.queued_ms = e.start_ms = t0;
-      e.end_ms = t0 + config_.fc_timeout_ms;
+      e.end_ms = t0 + kFcTimeoutMs;
       config_.recorder->record(std::move(e));
     }
   }

@@ -62,13 +62,6 @@ class CanFdTransport final : public proto::Transport {
     /// frame, flow-control round, completed datagram, drop and N_Bs
     /// timeout is recorded with its bus-time interval. Null = no events.
     TimelineRecorder* recorder = nullptr;
-    /// Sender-side N_Bs: how long (simulated ms) a sender waits for the
-    /// Flow Control after a First Frame before abandoning the transfer.
-    /// Charged to the sender's node clock when the loss model kills the
-    /// FC (or the FF itself), so lossy timelines stall realistically.
-    /// ISO 15765-2 allows up to 1000 ms; embedded stacks typically run
-    /// much tighter budgets.
-    double fc_timeout_ms = 100.0;
   };
 
   struct Stats {

@@ -14,7 +14,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/ct_equal.hpp"  // ct_equal and the ct_* mask helpers
+#include "common/ct_equal.hpp"  // ct_equal
 
 namespace ecqv {
 

@@ -9,20 +9,4 @@ bool ct_equal(CtByteView a, CtByteView b) {
   return acc == 0;
 }
 
-std::size_t ct_pkcs7_pad_len(CtByteView padded, std::size_t block_size) {
-  if (padded.size() < block_size) return 0;
-  const std::uint8_t pad = padded[padded.size() - 1];
-  // Claimed pad must be in [1, block_size].
-  std::uint8_t ok = ct_le_mask(1, pad) & ct_le_mask(pad, static_cast<std::uint8_t>(block_size));
-  // Scan the full final block: byte i-from-the-end must equal `pad`
-  // whenever i <= pad. Positions beyond the claimed pad contribute nothing,
-  // but they are still read — the access pattern is pad-independent.
-  for (std::size_t i = 1; i <= block_size; ++i) {
-    const std::uint8_t in_pad = ct_le_mask(static_cast<std::uint8_t>(i), pad);
-    const std::uint8_t matches = ct_eq_mask(padded[padded.size() - i], pad);
-    ok &= static_cast<std::uint8_t>(matches | ~in_pad);
-  }
-  return (ok & 1u) != 0 ? pad : 0;
-}
-
 }  // namespace ecqv

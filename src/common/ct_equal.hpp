@@ -1,12 +1,10 @@
-// Constant-time comparison primitives for secret-derived bytes.
+// Constant-time comparison for secret-derived bytes.
 //
-// Every tag/MAC/padding check in the library routes through here so the
-// decision "reject" never leaks WHERE the mismatch was through early-exit
-// timing: the full input is always scanned and the verdict is accumulated
-// through mask arithmetic, never a data-dependent branch. Used by
-// SecureChannel::open (record MACs), the AEAD suites (GCM/CCM tags), the
-// STS MAC-signature mode, the RK1/RK2 ratchet announcements and the CBC
-// PKCS#7 pad check.
+// Every tag/MAC check in the library routes through here so the decision
+// "reject" never leaks WHERE the mismatch was through early-exit timing:
+// the full input is always scanned and the verdict is accumulated without
+// a data-dependent branch. Used by SecureChannel::open (record MACs), the
+// AEAD suites (GCM/CCM tags) and the RK1/RK2 ratchet announcements.
 #pragma once
 
 #include <cstddef>
@@ -21,27 +19,5 @@ using CtByteView = std::span<const std::uint8_t>;
 /// mismatch without inspecting contents. (Sizes are public — lengths travel
 /// on the wire — only the CONTENT comparison must not branch.)
 bool ct_equal(CtByteView a, CtByteView b);
-
-/// 0xFF when a == b, 0x00 otherwise — no data-dependent branches.
-[[nodiscard]] constexpr std::uint8_t ct_eq_mask(std::uint8_t a, std::uint8_t b) {
-  const std::uint32_t diff = static_cast<std::uint32_t>(a ^ b);
-  // diff | -diff has its top bit set exactly when diff != 0.
-  const std::uint32_t nonzero = (diff | (0u - diff)) >> 31;
-  return static_cast<std::uint8_t>((nonzero - 1u) & 0xFFu);
-}
-
-/// 0xFF when a <= b (unsigned), 0x00 otherwise.
-[[nodiscard]] constexpr std::uint8_t ct_le_mask(std::uint8_t a, std::uint8_t b) {
-  // b - a wraps (top bit set) exactly when a > b.
-  const std::uint32_t gt = (static_cast<std::uint32_t>(b) - a) >> 31;
-  return static_cast<std::uint8_t>((gt - 1u) & 0xFFu);
-}
-
-/// Constant-time PKCS#7 pad check over the final `block_size` bytes of
-/// `padded`: returns the pad length in [1, block_size] when valid, 0 when
-/// malformed. The scan always touches exactly block_size trailing bytes
-/// whatever the claimed pad value says, so a padding oracle cannot localize
-/// the first bad byte. Requires padded.size() >= block_size.
-[[nodiscard]] std::size_t ct_pkcs7_pad_len(CtByteView padded, std::size_t block_size);
 
 }  // namespace ecqv

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "ecqv/scheme.hpp"
-
 namespace ecqv::proto {
 
 Credentials provision_device(cert::CertificateAuthority& ca, const cert::DeviceId& id,
@@ -24,19 +22,6 @@ void install_pairwise_key(Credentials& a, Credentials& b, rng::Rng& rng) {
   rng.fill(key);
   a.pairwise_keys[b.id] = key;
   b.pairwise_keys[a.id] = key;
-}
-
-Result<Bytes> static_shared_secret(const Credentials& self, const cert::Certificate& peer_cert) {
-  const auto cached = self.static_secret_cache.find(peer_cert.subject);
-  if (cached != self.static_secret_cache.end()) return cached->second;
-  auto peer_public = cert::extract_public_key(peer_cert, self.ca_public);
-  if (!peer_public) return peer_public.error();
-  const ec::AffinePoint shared =
-      ec::Curve::p256().mul(self.private_key, peer_public.value());
-  if (shared.infinity) return Error::kInvalidPoint;
-  Bytes secret = bi::to_be_bytes(shared.x);
-  self.static_secret_cache[peer_cert.subject] = secret;
-  return secret;
 }
 
 }  // namespace ecqv::proto

@@ -24,20 +24,13 @@ struct Credentials {
   /// PORAMB only: pre-embedded per-peer authentication keys.
   std::map<cert::DeviceId, PairwiseKey> pairwise_keys;
 
-  /// Cached static Diffie-Hellman secrets per peer (x-coordinate), keyed by
-  /// peer id. Valid only for the current certificate session.
-  mutable std::map<cert::DeviceId, Bytes> static_secret_cache;
-
   /// Cached implicitly-extracted peer public keys (SCIANC's airtime
   /// optimization caches these across communication sessions).
   mutable std::map<cert::DeviceId, ec::AffinePoint> peer_public_cache;
 
   /// Drops all cached per-peer material; call on certificate rotation
   /// (start of a new certificate session).
-  void invalidate_caches() const {
-    static_secret_cache.clear();
-    peer_public_cache.clear();
-  }
+  void invalidate_caches() const { peer_public_cache.clear(); }
 };
 
 /// Enrolls a device with the CA and assembles its credentials.
@@ -48,10 +41,5 @@ Credentials provision_device(cert::CertificateAuthority& ca, const cert::DeviceI
 /// Installs a fresh symmetric pairwise key into both devices (PORAMB
 /// deployment step).
 void install_pairwise_key(Credentials& a, Credentials& b, rng::Rng& rng);
-
-/// Computes (and caches) the static ECDH secret between `self` and the
-/// peer identified by `peer_cert`: x-coord of d_self * Q_peer where Q_peer
-/// is extracted implicitly from the certificate. Returns a copy.
-Result<Bytes> static_shared_secret(const Credentials& self, const cert::Certificate& peer_cert);
 
 }  // namespace ecqv::proto

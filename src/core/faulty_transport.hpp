@@ -24,7 +24,7 @@
 //
 // The decorator keeps its own virtual clock floor so delay faults work
 // over the ideal link (whose clock is pinned at 0): now_ms() is
-// max(inner clock, local floor), advanced by advance_ms()/advance_to() —
+// max(inner clock, local floor), advanced by advance_to() —
 // the same clock the broker's retransmission timers run on.
 //
 // Thread safety: all mutable state serializes on one Mutex; the inner
@@ -121,7 +121,6 @@ class FaultyTransport final : public Transport {
   /// Advances the local clock floor and releases due delayed datagrams.
   /// Monotonic: moving backwards is a no-op.
   void advance_to(double t_ms) override;
-  void advance_ms(double delta_ms) { advance_to(now_ms() + delta_ms); }
 
   /// Earliest instant a held datagram becomes releasable (delay faults
   /// only — reorder holds release on traffic, not time). nullopt when no

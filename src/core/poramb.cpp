@@ -61,9 +61,8 @@ constexpr std::size_t kCertSize = cert::kCertificateSize;
 Result<kdf::SessionKeys> derive_poramb_keys(const Credentials& self,
                                             const cert::Certificate& peer_cert,
                                             const cert::DeviceId& initiator,
-                                            const cert::DeviceId& responder, std::uint64_t now,
-                                            bool check_validity) {
-  if (check_validity && !peer_cert.valid_at(now)) return Error::kAuthenticationFailed;
+                                            const cert::DeviceId& responder, std::uint64_t now) {
+  if (!peer_cert.valid_at(now)) return Error::kAuthenticationFailed;
   auto peer_public = cert::extract_public_key(peer_cert, self.ca_public);
   if (!peer_public) return peer_public.error();
   const ec::AffinePoint shared = ec::Curve::p256().mul(self.private_key, peer_public.value());
@@ -155,8 +154,7 @@ Result<std::optional<Message>> PorambInitiator::on_message(const Message& incomi
     }
 
     record_segment("KD", "B2", [&] {
-      auto keys = derive_poramb_keys(creds_, certificate.value(), creds_.id, peer_id_,
-                                     config_.now, config_.check_cert_validity);
+      auto keys = derive_poramb_keys(creds_, certificate.value(), creds_.id, peer_id_, config_.now);
       if (!keys) {
         failure = keys.error();
         return;
@@ -271,8 +269,7 @@ Result<std::optional<Message>> PorambResponder::on_message(const Message& incomi
     });
 
     record_segment("KD", "A2", [&] {
-      auto keys = derive_poramb_keys(creds_, certificate.value(), peer_id_, creds_.id,
-                                     config_.now, config_.check_cert_validity);
+      auto keys = derive_poramb_keys(creds_, certificate.value(), peer_id_, creds_.id, config_.now);
       if (!keys) {
         failure = keys.error();
         return;

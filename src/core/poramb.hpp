@@ -31,7 +31,6 @@ namespace ecqv::proto {
 
 struct PorambConfig {
   std::uint64_t now = 0;
-  bool check_cert_validity = true;
 };
 
 class PorambInitiator final : public Party {

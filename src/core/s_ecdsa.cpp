@@ -78,10 +78,9 @@ Result<kdf::SessionKeys> derive_static_keys(const Credentials& self,
 
 Result<ec::AffinePoint> checked_extract(const cert::Certificate& certificate,
                                         const cert::DeviceId& claimed,
-                                        const ec::AffinePoint& q_ca, std::uint64_t now,
-                                        bool check_validity) {
+                                        const ec::AffinePoint& q_ca, std::uint64_t now) {
   if (!(certificate.subject == claimed)) return Error::kAuthenticationFailed;
-  if (check_validity && !certificate.valid_at(now)) return Error::kAuthenticationFailed;
+  if (!certificate.valid_at(now)) return Error::kAuthenticationFailed;
   return cert::extract_public_key(certificate, q_ca);
 }
 
@@ -125,8 +124,7 @@ Result<std::optional<Message>> SEcdsaInitiator::on_message(const Message& incomi
     Error failure = Error::kOk;
     ec::AffinePoint qb;
     record_segment("Verify", "B1", [&] {
-      auto extracted = checked_extract(certificate.value(), claimed, creds_.ca_public,
-                                       config_.now, config_.check_cert_validity);
+      auto extracted = checked_extract(certificate.value(), claimed, creds_.ca_public, config_.now);
       if (!extracted) {
         failure = extracted.error();
         return;
@@ -255,8 +253,8 @@ Result<std::optional<Message>> SEcdsaResponder::on_message(const Message& incomi
     Error failure = Error::kOk;
     ec::AffinePoint qa;
     record_segment("Verify", "A2", [&] {
-      auto extracted = checked_extract(certificate.value(), peer_id_, creds_.ca_public,
-                                       config_.now, config_.check_cert_validity);
+      auto extracted =
+          checked_extract(certificate.value(), peer_id_, creds_.ca_public, config_.now);
       if (!extracted) {
         failure = extracted.error();
         return;

@@ -30,7 +30,6 @@ namespace ecqv::proto {
 
 struct SEcdsaConfig {
   std::uint64_t now = 0;
-  bool check_cert_validity = true;
   bool extended = false;  // finished-message extension
 };
 

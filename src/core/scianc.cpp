@@ -31,10 +31,9 @@ constexpr std::size_t kCertSize = cert::kCertificateSize;
 Result<kdf::SessionKeys> derive_scianc_keys(const Credentials& self,
                                             const cert::Certificate& peer_cert,
                                             const cert::DeviceId& claimed, ByteView nonce_a,
-                                            ByteView nonce_b, std::uint64_t now,
-                                            bool check_validity) {
+                                            ByteView nonce_b, std::uint64_t now) {
   if (!(peer_cert.subject == claimed)) return Error::kAuthenticationFailed;
-  if (check_validity && !peer_cert.valid_at(now)) return Error::kAuthenticationFailed;
+  if (!peer_cert.valid_at(now)) return Error::kAuthenticationFailed;
   auto it = self.peer_public_cache.find(claimed);
   ec::AffinePoint peer_public;
   if (it != self.peer_public_cache.end()) {
@@ -90,7 +89,7 @@ Result<std::optional<Message>> SciancInitiator::on_message(const Message& incomi
     Error failure = Error::kOk;
     record_segment("KD", "B1", [&] {
       auto keys = derive_scianc_keys(creds_, certificate.value(), claimed, nonce_a_, nonce_b,
-                                     config_.now, config_.check_cert_validity);
+                                     config_.now);
       if (!keys) {
         failure = keys.error();
         return;
@@ -167,7 +166,7 @@ Result<std::optional<Message>> SciancResponder::on_message(const Message& incomi
     Error failure = Error::kOk;
     record_segment("KD", "A1", [&] {
       auto keys = derive_scianc_keys(creds_, certificate.value(), peer_id_, nonce_a, nonce_b_,
-                                     config_.now, config_.check_cert_validity);
+                                     config_.now);
       if (!keys) {
         failure = keys.error();
         return;

@@ -31,7 +31,6 @@ namespace ecqv::proto {
 
 struct SciancConfig {
   std::uint64_t now = 0;
-  bool check_cert_validity = true;
 };
 
 class SciancInitiator final : public Party {

@@ -68,6 +68,15 @@ constexpr double kJitterFrac = 0.25;
 // retransmission cover (counted in stats.backpressure) instead of growing
 // the heap without bound.
 constexpr std::size_t kMaxTracked = 4096;
+// Total RK1 transmissions before escalating to a full rekey.
+constexpr std::uint32_t kRatchetBudget = 6;
+// Consecutive aborted exchanges before the peer is declared dead
+// (peer_dead()); any completed handshake clears the strikes.
+constexpr std::uint32_t kDeadAfter = 3;
+// Stalled handshakes older than this are GC'd by sweep_pending() and no
+// longer win a crossing-A1 tie-break.
+constexpr std::uint64_t kPendingTtlSeconds = 30;
+constexpr double kPendingTtlMs = static_cast<double>(kPendingTtlSeconds) * 1000.0;
 
 }  // namespace
 
@@ -103,14 +112,14 @@ void SessionBroker::arm(double due_ms, const cert::DeviceId& peer, TimerQueue::K
 }
 
 void SessionBroker::strike(PendingShard& shard, const cert::DeviceId& peer) {
-  if (++shard.strikes[peer] == config_.reliability.dead_after) ++stats_.dead_peers;
+  if (++shard.strikes[peer] == kDeadAfter) ++stats_.dead_peers;
 }
 
 bool SessionBroker::peer_dead(const cert::DeviceId& peer) {
   PendingShard& shard = pending_shard(peer);
   MutexLock lock(shard.mutex);
   const auto it = shard.strikes.find(peer);
-  return it != shard.strikes.end() && it->second >= config_.reliability.dead_after;
+  return it != shard.strikes.end() && it->second >= kDeadAfter;
 }
 
 StsConfig SessionBroker::sts_config(std::uint64_t now) {
@@ -265,10 +274,9 @@ Result<std::optional<Message>> SessionBroker::on_message(const cert::DeviceId& p
         // simulated milliseconds (S1): wall time never advances in a
         // simulated lossy timeline, so TTL decisions must not use it.
         const double now_ms = clock_->now_ms();
-        const double ttl_ms = static_cast<double>(config_.pending_ttl_seconds) * 1000.0;
-        return now_ms >= p.started_ms && now_ms - p.started_ms <= ttl_ms;
+        return now_ms >= p.started_ms && now_ms - p.started_ms <= kPendingTtlMs;
       }
-      return now >= p.started_at && now - p.started_at <= config_.pending_ttl_seconds;
+      return now >= p.started_at && now - p.started_at <= kPendingTtlSeconds;
     };
     if (existing != shard.map.end() && existing->second.role == Role::kInitiator &&
         initiator_live(existing->second) && peer.bytes < creds_.id.bytes)
@@ -566,11 +574,10 @@ std::vector<bool> SessionBroker::verify_batch(const std::vector<VerifyRequest>& 
 std::size_t SessionBroker::sweep_pending(std::uint64_t now) {
   std::size_t removed = 0;
   // With a transport clock bound (S1), handshake age is measured on the
-  // virtual-time axis — pending_ttl_seconds worth of simulated
+  // virtual-time axis — kPendingTtlSeconds worth of simulated
   // milliseconds — so a lossy simulated timeline expires stalled
   // handshakes deterministically without wall time moving at all.
   const double now_ms = clock_ms();
-  const double ttl_ms = static_cast<double>(config_.pending_ttl_seconds) * 1000.0;
   for (auto& shard : pending_) {
     MutexLock lock(shard.mutex);
     if (reliable()) {
@@ -582,9 +589,8 @@ std::size_t SessionBroker::sweep_pending(std::uint64_t now) {
       // a handshake "started in the future" can never legitimately finish.
       const bool stalled =
           clock_ != nullptr
-              ? (now_ms < it->second.started_ms || now_ms - it->second.started_ms > ttl_ms)
-              : (now < it->second.started_at ||
-                 now - it->second.started_at > config_.pending_ttl_seconds);
+              ? (now_ms < it->second.started_ms || now_ms - it->second.started_ms > kPendingTtlMs)
+              : (now < it->second.started_at || now - it->second.started_at > kPendingTtlSeconds);
       if (stalled) {
         it = shard.map.erase(it);
         pending_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -639,7 +645,7 @@ std::vector<SessionBroker::Outbound> SessionBroker::poll_retransmits(double now_
         const auto it = shard.awaits.find(entry.peer);
         if (it == shard.awaits.end() || it->second.gen != entry.gen) break;
         RatchetAwait& await = it->second;
-        if (await.attempts >= config_.reliability.ratchet_budget) {
+        if (await.attempts >= kRatchetBudget) {
           // The cheap rung failed for good — climb the ladder: a fresh
           // STS handshake re-anchors the chain (queued after the loop;
           // connect() must not run under this shard lock).

@@ -81,22 +81,16 @@ struct ReliabilityConfig {
   /// Total transmissions (first send + retransmits) per handshake message
   /// before the handshake aborts.
   std::uint32_t handshake_budget = 10;
-  /// Total RK1 transmissions before escalating to a full rekey.
-  std::uint32_t ratchet_budget = 6;
-  /// Consecutive aborted exchanges before the peer is declared dead
-  /// (peer_dead()); any completed handshake clears the strikes.
-  std::uint32_t dead_after = 3;
   /// How long a completed handshake's final reply stays cached to answer a
   /// retransmitted last flight (the peer's ack was lost).
   double finished_ttl_ms = 4000.0;
 };
 
 struct BrokerConfig {
-  StsConfig sts{};                // variant / auth mode / validity checking
+  StsConfig sts{};                // variant / suite offer
   SessionStore::Config store{};   // capacity, shards, policy, max_epochs
   std::size_t peer_cache_capacity = 4096;
   std::size_t max_pending = 1024;           // concurrent in-flight handshakes
-  std::uint64_t pending_ttl_seconds = 30;   // stalled handshakes GC'd by sweep()
   /// Delivery callback for opened data-plane records ("DT1" messages fed
   /// through on_message). May be invoked from worker threads.
   std::function<void(const cert::DeviceId& peer, Bytes plaintext)> on_data;
@@ -259,9 +253,9 @@ class SessionBroker {
            await_count_.load(std::memory_order_relaxed);
   }
 
-  /// True once `peer` crossed the dead-peer strike threshold
-  /// (reliability.dead_after consecutive aborted exchanges). Cleared by
-  /// the next completed handshake with the peer.
+  /// True once `peer` crossed the dead-peer strike threshold (three
+  /// consecutive aborted exchanges). Cleared by the next completed
+  /// handshake with the peer.
   [[nodiscard]] bool peer_dead(const cert::DeviceId& peer);
 
   [[nodiscard]] SessionStore& store() { return store_; }

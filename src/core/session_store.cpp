@@ -6,6 +6,10 @@ namespace ecqv::proto {
 
 namespace {
 
+/// Out-of-epoch acceptance window: how many in-flight records sealed under
+/// the PREVIOUS epoch may still open after a ratchet.
+constexpr std::uint64_t kEpochWindowRecords = 64;
+
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -153,13 +157,12 @@ std::uint32_t SessionStore::locked_ratchet(Shard&, Session& s, std::uint64_t now
     s.prev->channel.wipe_keys();
     s.prev.reset();
   }
-  if (config_.epoch_window_records > 0)
-    s.prev = std::make_unique<PrevEpoch>(std::move(s.channel), config_.epoch_window_records);
+  s.prev = std::make_unique<PrevEpoch>(std::move(s.channel), kEpochWindowRecords);
   kdf::ratchet_session_keys_in_place(s.keys, s.epoch + 1);
   // rekey() first wipes the channel's residual key copy — the moved-from
-  // husk after the window roll (array "moves" are copies), or the live
-  // retiring keys when no window is kept — then installs the new hierarchy
-  // in place: no stack temporary holds either epoch's keys.
+  // husk after the window roll (array "moves" are copies) — then installs
+  // the new hierarchy in place: no stack temporary holds either epoch's
+  // keys.
   s.channel.rekey(s.keys, s.epoch + 1);
   ++s.epoch;
   s.records = 0;

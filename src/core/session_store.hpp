@@ -36,13 +36,14 @@
 //    record is the implicit ack. No standalone RK1 round while traffic
 //    flows; RK1 (ratchet()) remains the idle-session path.
 //  * Epoch acceptance window: after any ratchet the previous epoch's
-//    receive channel is retained for up to `epoch_window_records` opens, so
-//    in-flight records that straddle the boundary (sealed under KS_i,
-//    arriving after the holder advanced to KS_{i+1}) still authenticate
-//    and decrypt — DTLS-1.3-style bounded retention. The window holds at
-//    most ONE previous epoch and dies at the next ratchet, on exhaustion,
-//    or with the session; per-epoch forward secrecy is delayed by exactly
-//    that bounded window, never waived.
+//    receive channel is retained for up to 64 opens (kEpochWindowRecords
+//    in session_store.cpp), so in-flight records that straddle the
+//    boundary (sealed under KS_i, arriving after the holder advanced to
+//    KS_{i+1}) still authenticate and decrypt — DTLS-1.3-style bounded
+//    retention. The window holds at most ONE previous epoch and dies at
+//    the next ratchet, on exhaustion, or with the session; per-epoch
+//    forward secrecy is delayed by exactly that bounded window, never
+//    waived.
 #pragma once
 
 #include <atomic>
@@ -85,10 +86,6 @@ class SessionStore {
     std::size_t capacity = 4096;   // fleet-wide resident-session bound
     std::size_t shards = 16;       // rounded up to a power of two
     std::uint32_t max_epochs = 8;  // ratchet resumptions before full rekey
-    /// Out-of-epoch acceptance window: how many in-flight records sealed
-    /// under the PREVIOUS epoch may still open after a ratchet. 0 disables
-    /// retention (strict lockstep — any boundary-straddling record dies).
-    std::uint64_t epoch_window_records = 64;
   };
 
   struct Stats {
@@ -134,8 +131,8 @@ class SessionStore {
 
   /// Advances `peer` to the next key epoch: derives KS_{i+1} from KS_i,
   /// wipes the old keys, resets the record budget, age window and channel
-  /// sequence numbers (retaining the previous epoch's receive window, see
-  /// Config::epoch_window_records). Returns the new epoch index. kBadState
+  /// sequence numbers (retaining the previous epoch's receive window for up
+  /// to 64 opens). Returns the new epoch index. kBadState
   /// when the session is missing or its ratchet budget is exhausted.
   Result<std::uint32_t> ratchet(const cert::DeviceId& peer, std::uint64_t now);
 

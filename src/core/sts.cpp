@@ -9,7 +9,6 @@
 #include "ec/verify_table.hpp"
 #include "ecdsa/ecdsa.hpp"
 #include "ecqv/scheme.hpp"
-#include "hash/hmac.hpp"
 
 namespace ecqv::proto {
 
@@ -30,49 +29,20 @@ Bytes resp_sign_input(ByteView own_xg, ByteView peer_xg, ByteView nego) {
   return concat({own_xg, peer_xg, nego});
 }
 
-std::size_t resp_size(StsAuthMode mode) {
-  return mode == StsAuthMode::kEncryptedSignature ? sig::kSignatureSize
-                                                  : sig::kSignatureSize + 32;
-}
-
-namespace {
-hash::Digest resp_mac(const kdf::SessionKeys& keys, Role sender, ByteView signature_bytes) {
-  const std::uint8_t role_byte = sender == Role::kInitiator ? 0xA2 : 0xB2;
-  return hash::hmac_sha256(keys.mac_key.bytes(), {ByteView(&role_byte, 1), signature_bytes});
-}
-}  // namespace
-
-Bytes make_resp(const kdf::SessionKeys& keys, Role sender, ByteView signature_bytes,
-                StsAuthMode mode) {
-  if (mode == StsAuthMode::kEncryptedSignature)
-    return crypt_resp(keys, sender, signature_bytes);
-  return concat({signature_bytes, ByteView(resp_mac(keys, sender, signature_bytes))});
-}
-
-Result<Bytes> open_resp(const kdf::SessionKeys& keys, Role sender, ByteView resp,
-                        StsAuthMode mode) {
-  if (resp.size() != resp_size(mode)) return Error::kBadLength;
-  if (mode == StsAuthMode::kEncryptedSignature) return crypt_resp(keys, sender, resp);
-  const ByteView signature_bytes = resp.subspan(0, sig::kSignatureSize);
-  const hash::Digest expected = resp_mac(keys, sender, signature_bytes);
-  if (!ct_equal(resp.subspan(sig::kSignatureSize), expected))
-    return Error::kAuthenticationFailed;
-  return Bytes(signature_bytes.begin(), signature_bytes.end());
-}
-
 }  // namespace sts_detail
 
 namespace {
 
+using sts_detail::crypt_resp;
 using sts_detail::kd_salt;
-using sts_detail::make_resp;
-using sts_detail::open_resp;
 using sts_detail::resp_sign_input;
-using sts_detail::resp_size;
 
 constexpr std::size_t kIdSize = cert::kDeviceIdSize;
 constexpr std::size_t kXgSize = ec::kRawXySize;
 constexpr std::size_t kCertSize = cert::kCertificateSize;
+// Resp = Enc_KS(Sign(...)): the encrypted 64-byte signature (Algorithm 1,
+// Table II).
+constexpr std::size_t kRespSize = sig::kSignatureSize;
 
 void wipe_scalar(bi::U256& k) {
   secure_wipe(ByteSpan(reinterpret_cast<std::uint8_t*>(k.w.data()), sizeof(k.w)));
@@ -104,8 +74,7 @@ Result<PeerAuth> check_and_extract(const cert::Certificate& certificate,
                                    const cert::DeviceId& claimed_subject,
                                    const ec::AffinePoint& q_ca, const StsConfig& config) {
   if (!(certificate.subject == claimed_subject)) return Error::kAuthenticationFailed;
-  if (config.check_cert_validity && !certificate.valid_at(config.now))
-    return Error::kAuthenticationFailed;
+  if (!certificate.valid_at(config.now)) return Error::kAuthenticationFailed;
   if (config.peer_cache != nullptr) {
     auto entry = config.peer_cache->get(certificate, q_ca);
     if (!entry) return entry.error();
@@ -165,8 +134,7 @@ std::optional<Message> StsInitiator::start() {
 
 Result<std::optional<Message>> StsInitiator::on_message(const Message& incoming) {
   if (state_ == State::kAwaitB1 && incoming.step == "B1") {
-    const std::size_t resp_bytes = resp_size(config_.auth_mode);
-    const std::size_t base = kIdSize + kCertSize + kXgSize + resp_bytes;
+    const std::size_t base = kIdSize + kCertSize + kXgSize + kRespSize;
     // An offering initiator requires the confirm byte: a B1 shaped like the
     // legacy handshake means the offer was stripped in flight — reject
     // rather than silently downgrade.
@@ -192,7 +160,7 @@ Result<std::optional<Message>> StsInitiator::on_message(const Message& incoming)
       return certificate.error();
     }
     const ByteView xgb_bytes = p.subspan(kIdSize + kCertSize, kXgSize);
-    const ByteView resp_b = p.subspan(kIdSize + kCertSize + kXgSize, resp_bytes);
+    const ByteView resp_b = p.subspan(kIdSize + kCertSize + kXgSize, kRespSize);
 
     // Op2: premaster + KS (eqs. (3),(4)).
     Error failure = Error::kOk;
@@ -225,12 +193,7 @@ Result<std::optional<Message>> StsInitiator::on_message(const Message& incoming)
         failure = auth.error();
         return;
       }
-      auto dsign = open_resp(keys_, Role::kResponder, resp_b, config_.auth_mode);
-      if (!dsign) {
-        failure = dsign.error();
-        return;
-      }
-      auto signature = sig::decode_signature(dsign.value());
+      auto signature = sig::decode_signature(crypt_resp(keys_, Role::kResponder, resp_b));
       if (!signature) {
         failure = signature.error();
         return;
@@ -252,7 +215,7 @@ Result<std::optional<Message>> StsInitiator::on_message(const Message& incoming)
       const sig::PrivateKey key(creds_.private_key);
       const Bytes dsign =
           sig::encode_signature(key.sign_batchable(resp_sign_input(xga_, xgb_, nego)));
-      const Bytes resp_a = make_resp(keys_, Role::kInitiator, dsign, config_.auth_mode);
+      const Bytes resp_a = crypt_resp(keys_, Role::kInitiator, dsign);
       reply.sender = Role::kInitiator;
       reply.step = "A2";
       reply.payload = config_.variant == StsVariant::kBaseline
@@ -359,7 +322,7 @@ Result<std::optional<Message>> StsResponder::handle_a1(const Message& incoming) 
     const sig::PrivateKey key(creds_.private_key);
     const Bytes dsign =
         sig::encode_signature(key.sign_batchable(resp_sign_input(xgb_, xga_, nego)));
-    resp_b = make_resp(keys_, Role::kResponder, dsign, config_.auth_mode);
+    resp_b = crypt_resp(keys_, Role::kResponder, dsign);
   });
 
   peer_id_ = claimed_id;
@@ -375,8 +338,7 @@ Result<std::optional<Message>> StsResponder::handle_a1(const Message& incoming) 
 
 Result<std::optional<Message>> StsResponder::handle_a2(const Message& incoming) {
   const bool with_cert = config_.variant == StsVariant::kBaseline;
-  const std::size_t resp_bytes = resp_size(config_.auth_mode);
-  const std::size_t expected = with_cert ? kCertSize + resp_bytes : resp_bytes;
+  const std::size_t expected = with_cert ? kCertSize + kRespSize : kRespSize;
   if (incoming.payload.size() != expected) return Error::kBadLength;
   ByteView p(incoming.payload);
 
@@ -409,12 +371,7 @@ Result<std::optional<Message>> StsResponder::handle_a2(const Message& incoming) 
 
   // Op4: decrypt + verify Resp_A (Algorithm 2).
   record_segment("Op4", "A2", [&] {
-    auto dsign = open_resp(keys_, Role::kInitiator, p.subspan(0, resp_bytes), config_.auth_mode);
-    if (!dsign) {
-      failure = dsign.error();
-      return;
-    }
-    auto signature = sig::decode_signature(dsign.value());
+    auto signature = sig::decode_signature(crypt_resp(keys_, Role::kInitiator, p));
     if (!signature) {
       failure = signature.error();
       return;

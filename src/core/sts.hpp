@@ -44,21 +44,9 @@ class PeerKeyCache;  // core/peer_cache.hpp
 
 enum class StsVariant : std::uint8_t { kBaseline, kOptI, kOptII };
 
-/// How the authentication response binds the signature to the session
-/// (Diffie, van Oorschot, Wiener 1992 offer both forms):
-///  * kEncryptedSignature — Resp = Enc_KS(sign(...)), 64 bytes. The paper's
-///    Algorithm 1 and the Table II sizes.
-///  * kMacSignature — Resp = sign(...) || HMAC_KS(sign(...)), 96 bytes.
-///    STS-MAC: avoids using the session key as an encryption key before
-///    the handshake completes, at +32 B per response. Provided as a
-///    library extension; both ends must agree on the mode.
-enum class StsAuthMode : std::uint8_t { kEncryptedSignature, kMacSignature };
-
 struct StsConfig {
-  std::uint64_t now = 0;            // unix time for certificate validity
-  bool check_cert_validity = true;  // disable only in tests
+  std::uint64_t now = 0;  // unix time for certificate validity
   StsVariant variant = StsVariant::kBaseline;
-  StsAuthMode auth_mode = StsAuthMode::kEncryptedSignature;
   /// Optional per-peer authentication cache (the broker shares one across
   /// all its handshakes): implicit public key extraction hits the cache
   /// instead of re-running eq. (1), and response verification runs over the
@@ -160,16 +148,6 @@ Bytes crypt_resp(const kdf::SessionKeys& keys, Role sender, ByteView resp);
 /// appended so both signatures pin the negotiation outcome (empty for the
 /// legacy wire format, keeping those signatures byte-identical).
 Bytes resp_sign_input(ByteView own_xg, ByteView peer_xg, ByteView nego = {});
-
-/// Wire size of one authentication response under a mode (64 or 96).
-std::size_t resp_size(StsAuthMode mode);
-
-/// Builds / opens an authentication response in either mode. open_resp
-/// returns the raw 64-byte signature encoding on success.
-Bytes make_resp(const kdf::SessionKeys& keys, Role sender, ByteView signature_bytes,
-                StsAuthMode mode);
-Result<Bytes> open_resp(const kdf::SessionKeys& keys, Role sender, ByteView resp,
-                        StsAuthMode mode);
 
 }  // namespace sts_detail
 

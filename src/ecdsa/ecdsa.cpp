@@ -86,15 +86,6 @@ Signature PrivateKey::sign_digest(const hash::Digest& digest) const {
 
 Signature PrivateKey::sign(ByteView message) const { return sign_digest(hash::sha256(message)); }
 
-Signature PrivateKey::sign_randomized(ByteView message, rng::Rng& rng) const {
-  const hash::Digest digest = hash::sha256(message);
-  for (;;) {
-    const ct::Secret<bi::U256> k(curve().random_scalar(rng));
-    const Signature sig = sign_with_nonce(d_, digest, k, /*even_y=*/false);
-    if (!sig.r.is_zero() && !sig.s.is_zero()) return sig;
-  }
-}
-
 Signature PrivateKey::sign_digest_batchable(const hash::Digest& digest) const {
   for (unsigned retry = 0;; ++retry) {
     const ct::Secret<bi::U256> k = rfc6979_nonce(d_, digest, retry);

@@ -49,9 +49,6 @@ class PrivateKey {
   /// Signature over a precomputed digest.
   [[nodiscard]] Signature sign_digest(const hash::Digest& digest) const;
 
-  /// Randomized-nonce signing (benchmark comparison with the RFC 6979 path).
-  [[nodiscard]] Signature sign_randomized(ByteView message, rng::Rng& rng) const;
-
   /// Like sign/sign_digest (RFC 6979 nonces, identical wire format, verifies
   /// under every existing verifier), but normalizes the nonce point to even
   /// y by flipping s -> n - s when y(kG) is odd. A verifier then knows the

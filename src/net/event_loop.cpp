@@ -61,11 +61,14 @@ BrokerDriver::BrokerDriver(proto::ConcurrentSessionBroker& broker, FdTransport& 
     : broker_(broker), transport_(transport) {}
 
 Result<std::size_t> BrokerDriver::step(std::uint64_t now) {
+  // A closed fd leaves the kernel's epoll set by itself, but its number
+  // stays in the interest map — and accept() may already have reused it,
+  // which watch() would then skip. Unwatch every closed fd first.
+  for (const int fd : transport_.take_closed_fds()) loop_.unwatch(fd);
   // Declare the current fd set every cycle: TCP transports accept and
   // reap connections between steps, and EPOLLOUT interest follows the
   // short-write backlog.
-  std::vector<int> fds = transport_.poll_fds();
-  for (const int fd : fds) {
+  for (const int fd : transport_.poll_fds()) {
     const Status watched = loop_.watch(fd, transport_.wants_write(fd));
     if (!watched.ok()) return watched.error();
   }
@@ -85,16 +88,6 @@ Result<std::size_t> BrokerDriver::step(std::uint64_t now) {
   transport_.service();
   const std::size_t dispatched = broker_.poll(now);
   broker_.drain();
-  // A closed connection's fd must not linger in epoll: unwatch anything
-  // the transport no longer reports.
-  std::vector<int> live = transport_.poll_fds();
-  if (live.size() != loop_.watched()) {
-    std::sort(live.begin(), live.end());
-    std::vector<int> stale;
-    for (const int fd : fds)
-      if (!std::binary_search(live.begin(), live.end(), fd)) stale.push_back(fd);
-    for (const int fd : stale) loop_.unwatch(fd);
-  }
   return dispatched;
 }
 

@@ -47,8 +47,6 @@ class EventLoop {
   /// than erroring: the caller's loop just comes around again.
   Result<std::vector<Event>> wait(int timeout_ms);
 
-  [[nodiscard]] std::size_t watched() const { return interest_.size(); }
-
  private:
   Fd epoll_;
   std::unordered_map<int, bool> interest_;  // fd -> want_write

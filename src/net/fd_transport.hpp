@@ -48,6 +48,11 @@ class FdTransport : public proto::Transport {
   /// datagrams decoded. Never blocks; safe to call with nothing pending.
   virtual std::size_t service() = 0;
 
+  /// Fds the transport closed since the last call, oldest first. The
+  /// kernel may hand a closed number straight to the next accept, so the
+  /// event loop unwatches these before it declares interest again.
+  [[nodiscard]] virtual std::vector<int> take_closed_fds() { return {}; }
+
   /// Steady wall clock in ms, one epoch per process — real time, because
   /// real packets. All FdTransports share it, so a broker's retransmission
   /// deadlines and the event loop's epoll timeouts read the same clock.

@@ -4,8 +4,18 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <utility>
 
 namespace ecqv::net {
+
+namespace {
+
+/// Cap on one connection's un-flushed outbound buffer; a frame that would
+/// exceed it is dropped (counted in wire_stats().send_drops) — backpressure
+/// must not become unbounded memory.
+constexpr std::size_t kMaxTxBacklog = 16 * 1024 * 1024;
+
+}  // namespace
 
 Result<std::unique_ptr<TcpStreamTransport>> TcpStreamTransport::listen(Config config) {
   auto fd = tcp_listen_loopback(config.port);
@@ -13,19 +23,18 @@ Result<std::unique_ptr<TcpStreamTransport>> TcpStreamTransport::listen(Config co
   auto bound = local_port(fd->get());
   if (!bound.ok()) return bound.error();
   return std::unique_ptr<TcpStreamTransport>(
-      new TcpStreamTransport(config, std::move(fd).value(), Fd(), bound.value()));
+      new TcpStreamTransport(std::move(fd).value(), Fd(), bound.value()));
 }
 
 Result<std::unique_ptr<TcpStreamTransport>> TcpStreamTransport::connect_to(Config config) {
   auto fd = tcp_connect_loopback(config.port);
   if (!fd.ok()) return fd.error();
   return std::unique_ptr<TcpStreamTransport>(
-      new TcpStreamTransport(config, Fd(), std::move(fd).value(), config.port));
+      new TcpStreamTransport(Fd(), std::move(fd).value(), config.port));
 }
 
-TcpStreamTransport::TcpStreamTransport(Config config, Fd listen_fd, Fd client_fd,
-                                       std::uint16_t port)
-    : config_(config), listen_fd_(std::move(listen_fd)), port_(port) {
+TcpStreamTransport::TcpStreamTransport(Fd listen_fd, Fd client_fd, std::uint16_t port)
+    : listen_fd_(std::move(listen_fd)), port_(port) {
   if (client_fd.valid()) {
     MutexLock lock(mutex_);
     client_fd_ = client_fd.get();
@@ -54,8 +63,7 @@ Status TcpStreamTransport::send(const cert::DeviceId& src, const cert::DeviceId&
     return Error::kBadState;
   }
   Conn& conn = *it->second;
-  if (conn.tx.size() - conn.tx_offset + wire.size() + kFramePrefixSize >
-      config_.max_tx_backlog) {
+  if (conn.tx.size() - conn.tx_offset + wire.size() + kFramePrefixSize > kMaxTxBacklog) {
     ++wire_stats_.send_drops;
     return {};
   }
@@ -170,6 +178,7 @@ void TcpStreamTransport::reap_dead() {
     for (auto route = routes_.begin(); route != routes_.end();)
       route = route->second == fd ? routes_.erase(route) : std::next(route);
     it = conns_.erase(it);
+    closed_fds_.push_back(fd);
     ++stats_.connections_closed;
   }
 }
@@ -214,6 +223,11 @@ std::vector<int> TcpStreamTransport::poll_fds() {
   if (listen_fd_.valid()) fds.push_back(listen_fd_.get());
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
   return fds;
+}
+
+std::vector<int> TcpStreamTransport::take_closed_fds() {
+  MutexLock lock(mutex_);
+  return std::exchange(closed_fds_, {});
 }
 
 bool TcpStreamTransport::wants_write(int fd) {

@@ -35,10 +35,6 @@ class TcpStreamTransport final : public FdTransport {
  public:
   struct Config {
     std::uint16_t port = 0;  // listen(): 0 = ephemeral; connect_to(): target
-    /// Cap on one connection's un-flushed outbound buffer; a frame that
-    /// would exceed it is dropped (counted in wire_stats().send_drops) —
-    /// backpressure must not become unbounded memory.
-    std::size_t max_tx_backlog = 16 * 1024 * 1024;
   };
 
   struct Stats {
@@ -71,6 +67,7 @@ class TcpStreamTransport final : public FdTransport {
   [[nodiscard]] std::vector<int> poll_fds() override;
   [[nodiscard]] bool wants_write(int fd) override;
   std::size_t service() override;
+  [[nodiscard]] std::vector<int> take_closed_fds() override;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t connections();
@@ -84,7 +81,7 @@ class TcpStreamTransport final : public FdTransport {
     bool dead = false;
   };
 
-  TcpStreamTransport(Config config, Fd listen_fd, Fd client_fd, std::uint16_t port);
+  TcpStreamTransport(Fd listen_fd, Fd client_fd, std::uint16_t port);
 
   void accept_pending() REQUIRES(mutex_);
   std::size_t service_conn(Conn& conn) REQUIRES(mutex_);
@@ -93,13 +90,13 @@ class TcpStreamTransport final : public FdTransport {
   void flush_conn(Conn& conn) REQUIRES(mutex_);
   void reap_dead() REQUIRES(mutex_);
 
-  Config config_;
   Fd listen_fd_;  // server mode only
   std::uint16_t port_ = 0;
   int client_fd_ = -1;  // client mode: the single connection's fd
 
   Mutex mutex_;
   std::map<int, std::unique_ptr<Conn>> conns_ GUARDED_BY(mutex_);
+  std::vector<int> closed_fds_ GUARDED_BY(mutex_);  // reaped since take_closed_fds()
   std::unordered_map<cert::DeviceId, int, proto::DeviceIdHash> routes_ GUARDED_BY(mutex_);
   std::unordered_map<cert::DeviceId, std::deque<proto::Datagram>, proto::DeviceIdHash> inboxes_
       GUARDED_BY(mutex_);

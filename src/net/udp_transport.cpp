@@ -10,6 +10,13 @@ namespace ecqv::net {
 
 namespace {
 
+/// Kernel buffer request for both directions (clamped to rmem_max/wmem_max).
+/// The default 208 KiB rcvbuf holds only ~80 handshake replies — one fat
+/// wave landing while the servicing thread is inside the broker overflows
+/// it, and the resulting synchronized retransmit storm re-overflows it every
+/// RTO round.
+constexpr int kSocketBufferBytes = 1 << 22;
+
 sockaddr_in loopback_route(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -23,12 +30,10 @@ sockaddr_in loopback_route(std::uint16_t port) {
 Result<std::unique_ptr<UdpTransport>> UdpTransport::open(Config config) {
   auto fd = udp_bind_loopback(config.port);
   if (!fd.ok()) return fd.error();
-  if (config.buffer_bytes > 0) {
-    if (const Status s = set_receive_buffer(fd->get(), config.buffer_bytes); !s.ok())
-      return s.error();
-    if (const Status s = set_send_buffer(fd->get(), config.buffer_bytes); !s.ok())
-      return s.error();
-  }
+  if (const Status s = set_receive_buffer(fd->get(), kSocketBufferBytes); !s.ok())
+    return s.error();
+  if (const Status s = set_send_buffer(fd->get(), kSocketBufferBytes); !s.ok())
+    return s.error();
   auto bound = local_port(fd->get());
   if (!bound.ok()) return bound.error();
   return std::unique_ptr<UdpTransport>(

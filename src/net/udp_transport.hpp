@@ -35,12 +35,6 @@ class UdpTransport final : public FdTransport {
     /// Unread: the transport always locks. Kept only because perfbench's
     /// fabric still names it in a designated initializer.
     bool concurrent = false;
-    /// Kernel buffer request for both directions (clamped to
-    /// rmem_max/wmem_max). The default 208 KiB rcvbuf holds only ~80
-    /// handshake replies — one fat wave landing while the servicing
-    /// thread is inside the broker overflows it, and the resulting
-    /// synchronized retransmit storm re-overflows it every RTO round.
-    int buffer_bytes = 1 << 22;
   };
 
   struct Stats {

@@ -1,5 +1,5 @@
-// AEAD suites (GCM / CCM), GHASH, the hardware-vs-portable differential
-// pins, and the constant-time comparison helpers.
+// AEAD suites (GCM / CCM), GHASH and the hardware-vs-portable differential
+// pins.
 //
 // The differential tests exercise the runtime kill switches
 // (ECQV_DISABLE_AESNI / ECQV_DISABLE_CLMUL) in-process: the dispatch
@@ -15,7 +15,6 @@
 #include "aead/ghash.hpp"
 #include "aead/suite.hpp"
 #include "aes/modes.hpp"
-#include "common/ct_equal.hpp"
 #include "common/hex.hpp"
 #include "rng/test_rng.hpp"
 
@@ -345,52 +344,6 @@ TEST(Differential, GcmAndCcmEndToEnd) {
       EXPECT_EQ(to_hex(hw_tag), to_hex(po_tag)) << "suite=" << int(id) << " len=" << len;
     }
   }
-}
-
-// ------------------------------------------------------ constant-time helpers
-
-TEST(CtEqual, MasksAreExhaustivelyCorrect) {
-  for (int a = 0; a < 256; ++a) {
-    for (int b = 0; b < 256; ++b) {
-      EXPECT_EQ(ct_eq_mask(std::uint8_t(a), std::uint8_t(b)), a == b ? 0xFF : 0x00);
-      EXPECT_EQ(ct_le_mask(std::uint8_t(a), std::uint8_t(b)), a <= b ? 0xFF : 0x00);
-    }
-  }
-}
-
-TEST(CtEqual, Pkcs7PadLen) {
-  // Valid pads of every length.
-  for (std::size_t pad = 1; pad <= 16; ++pad) {
-    Bytes buf(32, 0x5A);
-    for (std::size_t i = 0; i < pad; ++i) buf[buf.size() - 1 - i] = std::uint8_t(pad);
-    EXPECT_EQ(ct_pkcs7_pad_len(buf, 16), pad) << "pad=" << pad;
-  }
-  // Zero pad byte, oversized pad byte, broken pad body, short buffer.
-  Bytes zero(16, 0x00);
-  EXPECT_EQ(ct_pkcs7_pad_len(zero, 16), 0u);
-  Bytes oversized(16, 0x11);  // 17 > block
-  EXPECT_EQ(ct_pkcs7_pad_len(oversized, 16), 0u);
-  Bytes broken(16, 0x04);
-  broken[13] = 0x03;  // inside the claimed pad
-  EXPECT_EQ(ct_pkcs7_pad_len(broken, 16), 0u);
-  broken[13] = 0x04;
-  broken[11] = 0x07;  // outside the pad — irrelevant
-  EXPECT_EQ(ct_pkcs7_pad_len(broken, 16), 4u);
-  EXPECT_EQ(ct_pkcs7_pad_len(Bytes(8, 0x01), 16), 0u);
-}
-
-TEST(CtEqual, CbcDecryptStillRejectsMalformedPadding) {
-  const Bytes key = deterministic_bytes(16, 1000);
-  const aes::Aes128 cipher(key);
-  aes::Iv iv{};
-  const Bytes pt = deterministic_bytes(20, 1001);
-  const Bytes ct = aes::cbc_encrypt(cipher, iv, pt);
-  auto ok = aes::cbc_decrypt(cipher, iv, ct);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value(), pt);
-  Bytes bad = ct;
-  bad[bad.size() - 1] ^= 0x01;  // garbles the pad after decryption
-  EXPECT_FALSE(aes::cbc_decrypt(cipher, iv, bad).ok());
 }
 
 }  // namespace

@@ -70,6 +70,24 @@ TEST(Driver, ProtocolNamesAndClassification) {
   EXPECT_EQ(wire_base(ProtocolKind::kScianc), ProtocolKind::kScianc);
 }
 
+TEST(Driver, CertificateOutsideItsValidityWindowFailsEveryProtocol) {
+  // Every protocol checks the peer certificate's validity window: one
+  // second before valid_from or one second after valid_to, no handshake
+  // establishes.
+  using ecqv::testing::kLifetime;
+  using ecqv::testing::kNow;
+  World world;
+  for (const auto kind : sim::kTable1Rows) {
+    for (const std::uint64_t now : {kNow - 1, kNow + kLifetime + 1}) {
+      rng::TestRng ra(1), rb(2);
+      auto pair = make_parties(kind, world.alice, world.bob, ra, rb, now);
+      const auto result = run_handshake(*pair.initiator, *pair.responder);
+      EXPECT_FALSE(result.success) << protocol_name(kind) << " at " << now;
+      EXPECT_EQ(result.error, Error::kAuthenticationFailed) << protocol_name(kind) << " at " << now;
+    }
+  }
+}
+
 TEST(Driver, HandshakeFailureSurfacesError) {
   World world;
   world.alice.pairwise_keys.clear();  // PORAMB cannot run

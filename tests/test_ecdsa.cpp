@@ -95,18 +95,6 @@ TEST(Ecdsa, PrivateKeyRangeChecks) {
   EXPECT_NO_THROW(PrivateKey(bi::U256(1)));
 }
 
-TEST(Ecdsa, RandomizedSigningVerifiesButDiffers) {
-  rng::TestRng rng(10);
-  const PrivateKey key = rfc_key();
-  const Signature det = key.sign(bytes_of("msg"));
-  const Signature rnd1 = key.sign_randomized(bytes_of("msg"), rng);
-  const Signature rnd2 = key.sign_randomized(bytes_of("msg"), rng);
-  EXPECT_TRUE(verify(key.public_point(), bytes_of("msg"), rnd1));
-  EXPECT_TRUE(verify(key.public_point(), bytes_of("msg"), rnd2));
-  EXPECT_NE(rnd1, rnd2);
-  EXPECT_NE(rnd1, det);
-}
-
 TEST(Ecdsa, DeterministicSigningIsStable) {
   const PrivateKey key = rfc_key();
   EXPECT_EQ(key.sign(bytes_of("stable")), key.sign(bytes_of("stable")));

@@ -254,6 +254,47 @@ TEST(EventLoop, WakesOnReadinessNotPolling) {
   EXPECT_TRUE((*b)->receive(id_of("el-b")).has_value());
 }
 
+TEST(EventLoop, ReusedFdOfAClosedConnectionIsWatchedAgain) {
+  // epoll drops a closed fd by itself, but the loop's interest map keeps
+  // the number; an accept that reuses it must still reach epoll_ctl.
+  net::EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto server = net::TcpStreamTransport::listen({});
+  ASSERT_TRUE(server.ok());
+  const int listen_fd = (*server)->poll_fds().front();
+  const auto accepted_fd = [&] {
+    for (const int fd : (*server)->poll_fds())
+      if (fd != listen_fd) return fd;
+    return -1;
+  };
+
+  auto first = net::TcpStreamTransport::connect_to({.port = (*server)->port()});
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(eventually(**server, [&] { return (*server)->connections() == 1u; }));
+  const int reused = accepted_fd();
+  ASSERT_TRUE(loop.watch(reused, false).ok());
+
+  first->reset();  // the client closes; the server reads EOF and reaps
+  ASSERT_TRUE(eventually(**server, [&] { return (*server)->connections() == 0u; }));
+  for (const int fd : (*server)->take_closed_fds()) loop.unwatch(fd);
+
+  auto second = net::TcpStreamTransport::connect_to({.port = (*server)->port()});
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(eventually(**server, [&] { return (*server)->connections() == 1u; }));
+  ASSERT_EQ(accepted_fd(), reused) << "the accept did not reuse the closed fd number";
+  ASSERT_TRUE(loop.watch(reused, false).ok());
+
+  (*second)->attach(id_of("reuse-client"));
+  ASSERT_TRUE(
+      (*second)->send(id_of("reuse-client"), id_of("reuse-server"), text_message("A1", "hi")).ok());
+  (*second)->service();  // flush in case the connect was still completing
+  auto ready = loop.wait(2000);
+  ASSERT_TRUE(ready.ok());
+  ASSERT_FALSE(ready->empty()) << "the reused fd never reached the epoll set";
+  EXPECT_EQ(ready->front().fd, reused);
+  EXPECT_TRUE(ready->front().readable);
+}
+
 // -------------------------------------- brokers over sockets, end to end
 
 struct NetWorld {

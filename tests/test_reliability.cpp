@@ -128,7 +128,6 @@ TEST(Reliability, BudgetExhaustionAbortsAndStrikesTheDeadPeer) {
   faults.p_drop = 1.0;  // the peer is unreachable
   BrokerConfig config = reliable_config();
   config.reliability.handshake_budget = 3;
-  config.reliability.dead_after = 3;
   LossyPair pair(std::move(faults), config);
 
   for (int attempt = 1; attempt <= 3; ++attempt) {
@@ -204,12 +203,12 @@ TEST(Reliability, LostAckReElicitsRk2FromADuplicateRk1) {
 }
 
 TEST(Reliability, RatchetBudgetExhaustionEscalatesToFullRekey) {
+  // Six RK1 transmissions (the first send + five retransmissions) spend
+  // the ratchet budget; drop every one of them.
   FaultyTransport::Config faults;
-  faults.plan[4] = FaultyTransport::Fault::kDrop;  // RK1
-  faults.plan[5] = FaultyTransport::Fault::kDrop;  // RK1 retransmission
-  BrokerConfig config = reliable_config();
-  config.reliability.ratchet_budget = 2;
-  LossyPair pair(std::move(faults), config);
+  for (std::uint64_t serial = 4; serial <= 9; ++serial)
+    faults.plan[serial] = FaultyTransport::Fault::kDrop;
+  LossyPair pair(std::move(faults));
 
   ASSERT_TRUE(pair.alice.connect(pair.world.bob.id, kNow).ok());
   pair.converge();
@@ -221,7 +220,7 @@ TEST(Reliability, RatchetBudgetExhaustionEscalatesToFullRekey) {
   pair.converge();
 
   // The cheap rung failed for good; the engine climbed the ladder.
-  EXPECT_EQ(pair.alice.broker().stats().ratchet_retransmits, 1u);
+  EXPECT_EQ(pair.alice.broker().stats().ratchet_retransmits, 5u);
   EXPECT_EQ(pair.alice.broker().stats().ratchet_escalations, 1u);
   EXPECT_EQ(pair.alice.broker().stats().full_rekeys, 1u);
   EXPECT_EQ(pair.alice.broker().stats().ratchet_acks_received, 0u);
@@ -266,17 +265,16 @@ TEST(Reliability, VirtualTimeSweepExpiresStalledHandshakes) {
   rng::TestRng rng(31);
   IdealLinkTransport inner;
   FaultyTransport link(inner, FaultyTransport::Config{});
-  BrokerConfig config = reliable_config();
-  config.pending_ttl_seconds = 2;  // = 2000 virtual ms once a clock is bound
-  SessionBroker broker(world.alice, rng, config);
+  // The 30 s pending TTL is 30000 virtual ms once a clock is bound.
+  SessionBroker broker(world.alice, rng, reliable_config());
   broker.bind_clock(&link);
 
   ASSERT_TRUE(broker.connect(world.bob.id, kNow).ok());  // A1 never delivered
   EXPECT_EQ(broker.pending_handshakes(), 1u);
   EXPECT_EQ(broker.sweep(kNow), 0u);  // 0 virtual ms elapsed: still live
-  link.advance_to(1999.0);
+  link.advance_to(29999.0);
   EXPECT_EQ(broker.sweep(kNow), 0u);  // inside the TTL
-  link.advance_to(2001.0);
+  link.advance_to(30001.0);
   EXPECT_EQ(broker.sweep(kNow), 1u);  // expired on the virtual axis
   EXPECT_EQ(broker.pending_handshakes(), 0u);
   EXPECT_EQ(broker.stats().pending_expired, 1u);

@@ -218,9 +218,7 @@ TEST(SessionBroker, PendingHandshakesExpireOnSweep) {
   testing::World world;
   Fleet fleet(3);
   rng::TestRng rng(12);
-  BrokerConfig config = server_config(16);
-  config.pending_ttl_seconds = 10;
-  SessionBroker server(world.alice, rng, config);
+  SessionBroker server(world.alice, rng, server_config(16));
   // Three clients send A1 and vanish.
   for (auto& device : fleet.devices) {
     rng::TestRng crng(100);
@@ -230,7 +228,8 @@ TEST(SessionBroker, PendingHandshakesExpireOnSweep) {
     ASSERT_TRUE(server.on_message(device.id, *a1, kNow).ok());
   }
   EXPECT_EQ(server.pending_handshakes(), 3u);
-  EXPECT_EQ(server.sweep(kNow + 11), 3u);
+  EXPECT_EQ(server.sweep(kNow + 30), 0u);  // the 30 s TTL has not passed
+  EXPECT_EQ(server.sweep(kNow + 31), 3u);
   EXPECT_EQ(server.pending_handshakes(), 0u);
   EXPECT_EQ(server.stats().pending_expired, 3u);
 }

@@ -153,22 +153,6 @@ TEST(SessionStore, RatchetDivergenceAndWipe) {
   EXPECT_EQ(b.stats().epoch_rejects, 1u);
 }
 
-TEST(SessionStore, ZeroEpochWindowRestoresStrictLockstep) {
-  auto strict = config(8);
-  strict.epoch_window_records = 0;
-  SessionStore a(Role::kInitiator, strict);
-  SessionStore b(Role::kResponder, strict);
-  const auto keys = keys_for("lockstep");
-  a.install(peer(1), keys, kT0);
-  b.install(peer(1), keys, kT0);
-  auto in_flight = a.seal(peer(1), bytes_of("old"), kT0);
-  ASSERT_TRUE(in_flight.ok());
-  ASSERT_TRUE(b.ratchet(peer(1), kT0).ok());
-  EXPECT_EQ(b.open(peer(1), in_flight.value(), kT0).error(), Error::kBadState);
-  EXPECT_EQ(b.stats().epoch_rejects, 1u);
-  EXPECT_EQ(b.stats().opens, 0u);  // the reject moved no budget counter
-}
-
 TEST(SessionStore, RatchetBudgetEscalatesToFullRekey) {
   SessionStore store(Role::kInitiator, config(8, 1, RekeyPolicy::unlimited(), 2));
   store.install(peer(1), keys_for("esc"), kT0);

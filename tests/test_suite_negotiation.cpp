@@ -219,10 +219,8 @@ TEST(RecordV3, Ccm8SavesAtLeast16BytesPerRecordOverV2) {
 
 TEST(RecordV3, StoreRatchetsAndWindowsAcrossEpochs) {
   for (std::uint8_t suite : {0x01, 0x03}) {
-    SessionStore a(Role::kInitiator,
-                   SessionStore::Config{RekeyPolicy{4, UINT64_MAX}, 8, 1, 8, 16});
-    SessionStore b(Role::kResponder,
-                   SessionStore::Config{RekeyPolicy{4, UINT64_MAX}, 8, 1, 8, 16});
+    SessionStore a(Role::kInitiator, SessionStore::Config{RekeyPolicy{4, UINT64_MAX}, 8, 1, 8});
+    SessionStore b(Role::kResponder, SessionStore::Config{RekeyPolicy{4, UINT64_MAX}, 8, 1, 8});
     const auto peer_a = cert::DeviceId::from_string("a");
     const auto keys = suite_keys(suite, "store");
     a.install(peer_a, keys, kNow);
